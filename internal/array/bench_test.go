@@ -41,6 +41,19 @@ func BenchmarkFilter(b *testing.B) {
 	}
 }
 
+// BenchmarkFromRelation measures the bulk CAST ingest into the array
+// island: 100k (i, v) rows loaded into a sparse 1-D array.
+func BenchmarkFromRelation(b *testing.B) {
+	rel := benchArray(b, 100_000).Scan()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := FromRelation("bench", rel, []string{"i"}, false); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkRegrid(b *testing.B) {
 	a := benchArray(b, 50_000)
 	b.ResetTimer()

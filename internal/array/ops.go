@@ -1,8 +1,12 @@
 package array
 
 import (
+	"cmp"
 	"fmt"
+	"maps"
 	"math"
+	"slices"
+	"strings"
 
 	"repro/internal/engine"
 	"repro/internal/relational"
@@ -12,10 +16,32 @@ import (
 // array (or scalar relation) and leaves the input untouched.
 
 // Filter keeps cells where the predicate (a SQL expression over
-// dimension and attribute names) is true. The result is sparse.
+// dimension and attribute names) is true. The result is sparse. The
+// predicate runs on the attribute vectors through the relational
+// engine's batch filter; dimension coordinates are derived only when
+// the predicate names a dimension.
 func (a *Array) Filter(predicate string) (*Array, error) {
-	cols := a.cellSchema().Columns
-	pred, err := relational.CompileRowExpr(predicate, cols)
+	e, err := relational.ParseExpression(predicate)
+	if err != nil {
+		return nil, err
+	}
+	named := map[string]bool{}
+	relational.WalkColumnRefs(e, func(ref relational.ColumnRef) { named[strings.ToLower(ref.Name)] = true })
+	nd := len(a.Dims)
+	cells := &engine.ColumnBatch{
+		Schema:  a.cellSchema(),
+		Cols:    make([]engine.ColVec, nd+len(a.Attrs)),
+		NumRows: len(a.coords),
+	}
+	for di, d := range a.Dims {
+		if named[strings.ToLower(d.Name)] {
+			cells.Cols[di] = a.dimColumn(di)
+		} else {
+			cells.Cols[di] = engine.ColVec{Kind: engine.TypeInt} // never read
+		}
+	}
+	copy(cells.Cols[nd:], a.batch.Cols)
+	sel, err := relational.FilterBatch(cells, e)
 	if err != nil {
 		return nil, err
 	}
@@ -23,24 +49,8 @@ func (a *Array) Filter(predicate string) (*Array, error) {
 	if err != nil {
 		return nil, err
 	}
-	row := make(engine.Tuple, len(cols))
-	err = a.Iterate(func(coords []int64, vals engine.Tuple) error {
-		for i, c := range coords {
-			row[i] = engine.NewInt(c)
-		}
-		copy(row[len(coords):], vals)
-		v, err := pred(row)
-		if err != nil {
-			return err
-		}
-		if !v.IsNull() && v.AsBool() {
-			return out.Set(coords, vals.Clone())
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
+	out.coords = gather(a.coords, sel)
+	out.batch = gatherBatch(a.batch, sel)
 	return out, nil
 }
 
@@ -193,6 +203,24 @@ func (ac *aggAcc) result() engine.Value {
 	}
 }
 
+// floatsOf reads attribute column c as float64 in row order, NaN for
+// NULL (Value.AsFloat semantics). A typed FLOAT column without NULLs is
+// returned as is, without copying.
+func floatsOf(c *engine.ColVec) []float64 {
+	if c.Kind == engine.TypeFloat && c.Nulls.Empty() {
+		return c.Floats
+	}
+	out := make([]float64, c.Len())
+	for i := range out {
+		if c.Kind == engine.TypeInt && !c.Nulls.Get(i) {
+			out[i] = float64(c.Ints[i])
+		} else {
+			out[i] = c.Value(i).AsFloat()
+		}
+	}
+	return out
+}
+
 // Aggregate reduces one attribute over all populated cells to a single
 // value.
 func (a *Array) Aggregate(kind AggKind, attr string) (engine.Value, error) {
@@ -201,22 +229,8 @@ func (a *Array) Aggregate(kind AggKind, attr string) (engine.Value, error) {
 		return engine.Null, err
 	}
 	ac := newAggAcc(kind)
-	if a.dense {
-		// Tight loop over the attribute vector: the array engine's edge.
-		col := a.data[ai]
-		for idx, ok := range a.filled {
-			if ok {
-				ac.add(col[idx].AsFloat())
-			}
-		}
-		return ac.result(), nil
-	}
-	err = a.Iterate(func(_ []int64, vals engine.Tuple) error {
-		ac.add(vals[ai].AsFloat())
-		return nil
-	})
-	if err != nil {
-		return engine.Null, err
+	for _, f := range floatsOf(&a.batch.Cols[ai]) {
+		ac.add(f)
 	}
 	return ac.result(), nil
 }
@@ -239,24 +253,33 @@ func (a *Array) AggregateBy(kind AggKind, attr, dim string) (*Array, error) {
 		return nil, fmt.Errorf("array: %s: no dimension %q", a.Name, dim)
 	}
 	d := a.Dims[di]
-	accs := make([]*aggAcc, d.Len())
+	accs := make([]aggAcc, d.Len())
 	for i := range accs {
-		accs[i] = newAggAcc(kind)
+		accs[i] = *newAggAcc(kind)
 	}
-	err = a.Iterate(func(coords []int64, vals engine.Tuple) error {
-		accs[coords[di]-d.Low].add(vals[ai].AsFloat())
-		return nil
-	})
-	if err != nil {
-		return nil, err
+	stride := int64(1)
+	for _, dd := range a.Dims[di+1:] {
+		stride *= dd.Len()
+	}
+	// Cells are in coordinate order, so the group changes only when a
+	// cell leaves the current block of stride linear indexes.
+	n := d.Len()
+	var g int64
+	next := int64(-1) // first linear index past the current block
+	for k, f := range floatsOf(&a.batch.Cols[ai]) {
+		if idx := a.coords[k]; idx >= next {
+			q := idx / stride
+			g, next = q%n, (q+1)*stride
+		}
+		accs[g].add(f)
 	}
 	out, err := New(a.Name+"_aggby", []Dim{{Name: d.Name, Low: d.Low, High: d.High}},
 		[]engine.Column{engine.Col(string(kind)+"_"+attr, engine.TypeFloat)}, true)
 	if err != nil {
 		return nil, err
 	}
-	for i, ac := range accs {
-		if err := out.Set([]int64{d.Low + int64(i)}, engine.Tuple{ac.result()}); err != nil {
+	for i := range accs {
+		if err := out.Set([]int64{d.Low + int64(i)}, engine.Tuple{accs[i].result()}); err != nil {
 			return nil, err
 		}
 	}
@@ -309,9 +332,9 @@ func (a *Array) Regrid(block []int64, kind AggKind, attr string) (*Array, error)
 		return nil, err
 	}
 	coords := make([]int64, len(dims))
-	for idx, ac := range accs {
+	for _, idx := range slices.Sorted(maps.Keys(accs)) {
 		outShape.delinear(idx, coords)
-		if err := outShape.Set(coords, engine.Tuple{ac.result()}); err != nil {
+		if err := outShape.Set(coords, engine.Tuple{accs[idx].result()}); err != nil {
 			return nil, err
 		}
 	}
@@ -365,12 +388,17 @@ func (a *Array) Transpose() (*Array, error) {
 	if err != nil {
 		return nil, err
 	}
-	err = a.Iterate(func(coords []int64, vals engine.Tuple) error {
-		return out.Set([]int64{coords[1], coords[0]}, vals.Clone())
-	})
-	if err != nil {
-		return nil, err
+	// Re-key every cell to its transposed linear index, then sort.
+	rows, cols := a.Dims[0].Len(), a.Dims[1].Len()
+	lin := make([]int64, len(a.coords))
+	order := make([]int32, len(a.coords))
+	for k, idx := range a.coords {
+		lin[k] = idx%cols*rows + idx/cols
+		order[k] = int32(k)
 	}
+	slices.SortFunc(order, func(x, y int32) int { return cmp.Compare(lin[x], lin[y]) })
+	out.coords = gather(lin, order)
+	out.batch = gatherBatch(a.batch, order)
 	return out, nil
 }
 

@@ -23,36 +23,76 @@ import (
 // aggregation or joins mean analytics, array math means linear algebra,
 // search means text, anything else is a lookup.
 func classifyBody(island Island, body string) monitor.QueryClass {
+	words := bodyWords(body)
+	has := func(keywords ...string) bool {
+		for _, kw := range keywords {
+			if hasWord(words, kw) {
+				return true
+			}
+		}
+		return false
+	}
 	switch island {
 	case IslandSStore:
 		return monitor.ClassStreaming
 	case IslandD4M:
 		return monitor.ClassLinearAlgebra
 	case IslandAccumulo:
-		if containsWord(body, "search") || containsWord(body, "searchscan") {
+		if has("search", "searchscan") {
 			return monitor.ClassTextSearch
 		}
 		return monitor.ClassLookup
 	case IslandArray, IslandSciDB:
-		for _, op := range []string{"multiply", "regrid", "window", "fft", "transpose"} {
-			if containsWord(body, op) {
-				return monitor.ClassLinearAlgebra
-			}
+		if has("multiply", "regrid", "window", "fft", "transpose") {
+			return monitor.ClassLinearAlgebra
 		}
-		if containsWord(body, "aggregate") {
+		if has("aggregate") {
 			return monitor.ClassSQLAnalytics
 		}
 		return monitor.ClassLookup
 	case IslandRelational, IslandPostgres, IslandMyria:
-		for _, kw := range []string{"join", "group", "count", "sum", "avg", "min", "max"} {
-			if containsWord(body, kw) {
-				return monitor.ClassSQLAnalytics
-			}
+		if has("join", "group", "count", "sum", "avg", "min", "max") {
+			return monitor.ClassSQLAnalytics
 		}
 		return monitor.ClassLookup
 	default:
 		return monitor.ClassLookup
 	}
+}
+
+// bodyWords splits a query body into its identifier-like words (runs of
+// letters, digits and '_') outside quoted strings. classifyBody and
+// observeQuery test words against this one tokenization instead of
+// rescanning the body once per keyword and per catalog object.
+func bodyWords(body string) []string {
+	words := make([]string, 0, 16)
+	inStr := false
+	for i := 0; i < len(body); i++ {
+		switch {
+		case inStr:
+			inStr = body[i] != '\''
+		case body[i] == '\'':
+			inStr = true
+		case isWordChar(body[i]):
+			j := i + 1
+			for j < len(body) && isWordChar(body[j]) {
+				j++
+			}
+			words = append(words, body[i:j])
+			i = j - 1
+		}
+	}
+	return words
+}
+
+// hasWord reports whether w is one of words, case-insensitively.
+func hasWord(words []string, w string) bool {
+	for _, x := range words {
+		if strings.EqualFold(x, w) {
+			return true
+		}
+	}
+	return false
 }
 
 // islandEngine names the engine that serves an island's queries — the
@@ -84,15 +124,21 @@ const monitorWildcard = "*"
 // when it references none.
 func (p *Polystore) observeQuery(island Island, class monitor.QueryClass, body string, elapsed time.Duration) {
 	eng := string(islandEngine(island))
-	matched := false
-	for _, obj := range p.Objects() {
-		if !containsWord(body, obj.Name) {
-			continue
+	words := bodyWords(body)
+	var touched []string
+	p.mu.RLock()
+	for _, info := range p.catalog {
+		// Names made of word characters match a whole body word; any
+		// other name falls back to a whole-word scan of the body.
+		if hasWord(words, info.Name) || (!plainIdent(info.Name) && containsWord(body, info.Name)) {
+			touched = append(touched, info.Name)
 		}
-		p.Monitor.Record(obj.Name, class, eng, elapsed)
-		matched = true
 	}
-	if !matched {
+	p.mu.RUnlock()
+	for _, name := range touched {
+		p.Monitor.Record(name, class, eng, elapsed)
+	}
+	if len(touched) == 0 {
 		p.Monitor.Record(monitorWildcard, class, eng, elapsed)
 	}
 }

@@ -279,17 +279,22 @@ func (p *Polystore) relationalIsland(ctx context.Context, body string) (*engine.
 	return p.Relational.ExecuteSelect(sel)
 }
 
-// arrayIsland runs an AFL query with location transparency: named
-// objects living outside the array engine are shimmed in first. Shim
-// copies are dropped once the query completes.
+// arrayIsland runs an AFL query with location transparency: array
+// objects are addressed by their physical names (a migrated object's
+// copy lives under a fresh one), and named objects living outside the
+// array engine are shimmed in first. Shim copies are dropped once the
+// query completes.
 func (p *Polystore) arrayIsland(ctx context.Context, body string) (*engine.Relation, error) {
 	var temps []string
 	defer func() { p.dropTempObjects(temps) }()
 	for _, obj := range p.Objects() {
-		if obj.Engine == EngineSciDB {
+		if !containsWord(body, obj.Name) {
 			continue
 		}
-		if !containsWord(body, obj.Name) {
+		if obj.Engine == EngineSciDB {
+			if !strings.EqualFold(obj.Name, obj.Physical) {
+				body = replaceWord(body, obj.Name, obj.Physical)
+			}
 			continue
 		}
 		res, err := p.CastCtx(ctx, obj.Name, EngineSciDB, CastOptions{})

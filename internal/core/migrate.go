@@ -225,16 +225,17 @@ func (p *Polystore) castOnce(ctx context.Context, info ObjectInfo, to EngineKind
 		return err
 	}
 	stage := p.tempName("stage")
-	// Direct casts out of the relational engine move columnar end to
-	// end: the table's column cache is encoded straight to the wire and
-	// decoded straight into a ColumnBatch — no per-row Tuple boxing
-	// anywhere on the transport. SciDB targets with a predicate take the
-	// generic path below instead: their predicate must see the post-cast
-	// cells (see scidbCellFilter), not the raw rows this path filters.
-	if opts.Mode == CastDirect && info.Engine == EnginePostgres &&
+	// Direct casts out of the relational and array engines move
+	// columnar end to end: the source's column vectors are encoded
+	// straight to the wire and decoded straight into a ColumnBatch — no
+	// per-row Tuple boxing anywhere on the transport. SciDB targets with
+	// a predicate take the generic path below instead: their predicate
+	// must see the post-cast cells (see scidbCellFilter), not the raw
+	// rows this path filters.
+	if opts.Mode == CastDirect && (info.Engine == EnginePostgres || info.Engine == EngineSciDB) &&
 		!(opts.Predicate != "" && to == EngineSciDB) {
 		_, dspan := trace.Start(ctx, "dump")
-		cb, scanned, applied, err := p.Relational.DumpBatchWhere(info.Physical, opts.Predicate, opts.Columns)
+		cb, scanned, applied, err := p.dumpBatch(info, opts)
 		dspan.End()
 		if err != nil {
 			return err
@@ -426,7 +427,8 @@ func (p *Polystore) renamePhysical(eng EngineKind, oldName, newName string) erro
 }
 
 // dropPhysical removes an engine-resident object, ignoring absence —
-// rollback for staged copies that never reached the catalog.
+// rollback for staged copies, reclaiming query temps, and the source
+// copy a Migrate leaves behind.
 func (p *Polystore) dropPhysical(eng EngineKind, name string) {
 	switch eng {
 	case EnginePostgres:
@@ -500,31 +502,12 @@ func (p *Polystore) dumpFiltered(info ObjectInfo, to EngineKind, opts CastOption
 		return rel, scanned, applied, nil
 	}
 	switch info.Engine {
-	case EnginePostgres:
-		cb, scanned, applied, err := p.Relational.DumpBatchWhere(info.Physical, opts.Predicate, opts.Columns)
+	case EnginePostgres, EngineSciDB:
+		cb, scanned, applied, err := p.dumpBatch(info, opts)
 		if err != nil {
 			return nil, scanned, false, err
 		}
 		return cb.ToRelation(), scanned, applied, nil
-	case EngineSciDB:
-		a, err := p.ArrayStore.Get(info.Physical)
-		if err != nil {
-			return nil, 0, false, err
-		}
-		scanned := int(a.Count())
-		applied := false
-		if opts.Predicate != "" {
-			// The array island's filter() dialect is the same SQL
-			// expression grammar, so the predicate passes through verbatim.
-			a, err = a.Filter(opts.Predicate)
-			if err != nil {
-				return nil, scanned, false, err
-			}
-			applied = true
-		}
-		scanRel := a.Scan()
-		rel, err := projectRelation(scanRel, opts.Columns)
-		return rel, scanned, applied || rel != scanRel, err
 	default:
 		rel, err := p.Dump(info.Name)
 		if err != nil {
@@ -534,6 +517,58 @@ func (p *Polystore) dumpFiltered(info ObjectInfo, to EngineKind, opts CastOption
 		out, err := filterProjectRelation(rel, opts.Predicate, opts.Columns)
 		return out, scanned, out != rel, err
 	}
+}
+
+// dumpBatch is the columnar egress of the relational and array
+// engines: the object as a ColumnBatch with the cast's predicate and
+// projection applied inside the engine. Relational sources filter their
+// column cache; arrays run the predicate through their own filter()
+// (the same SQL expression grammar, so it passes through verbatim) on
+// the attribute vectors. scanned and applied are as for dumpFiltered.
+func (p *Polystore) dumpBatch(info ObjectInfo, opts CastOptions) (*engine.ColumnBatch, int, bool, error) {
+	if info.Engine == EnginePostgres {
+		return p.Relational.DumpBatchWhere(info.Physical, opts.Predicate, opts.Columns)
+	}
+	a, err := p.ArrayStore.Get(info.Physical)
+	if err != nil {
+		return nil, 0, false, err
+	}
+	scanned := int(a.Count())
+	applied := false
+	if opts.Predicate != "" {
+		if a, err = a.Filter(opts.Predicate); err != nil {
+			return nil, scanned, false, err
+		}
+		applied = true
+	}
+	cb := a.ScanBatch()
+	out, err := projectBatch(cb, opts.Columns)
+	return out, scanned, applied || out != cb, err
+}
+
+// projectBatch restricts a batch to the named columns, in order,
+// sharing the selected vectors. It returns cb itself when the
+// projection is absent or names every column in schema order.
+func projectBatch(cb *engine.ColumnBatch, columns []string) (*engine.ColumnBatch, error) {
+	if len(columns) == 0 {
+		return cb, nil
+	}
+	out := &engine.ColumnBatch{Cols: make([]engine.ColVec, len(columns)), NumRows: cb.NumRows}
+	cols := make([]engine.Column, len(columns))
+	identity := len(columns) == len(cb.Cols)
+	for k, name := range columns {
+		j := cb.Schema.Index(name)
+		if j < 0 {
+			return nil, fmt.Errorf("core: pushdown projection: no column %q", name)
+		}
+		cols[k], out.Cols[k] = cb.Schema.Columns[j], cb.Cols[j]
+		identity = identity && j == k
+	}
+	if identity {
+		return cb, nil
+	}
+	out.Schema = engine.Schema{Columns: cols}
+	return out, nil
 }
 
 // scidbCellFilter filters rel as the SciDB loader will see it: dim
@@ -551,7 +586,7 @@ func (p *Polystore) dumpFiltered(info ObjectInfo, to EngineKind, opts CastOption
 func scidbCellFilter(rel *engine.Relation, predicate string, dimNames []string) (*engine.Relation, bool, error) {
 	dims := dimNames
 	if len(dims) == 0 {
-		dims = leadingIntColumns(rel)
+		dims = leadingIntColumns(rel.Schema)
 	}
 	if len(dims) == 0 {
 		return rel, false, nil
@@ -834,17 +869,41 @@ func (p *Polystore) LoadBatchCtx(ctx context.Context, to EngineKind, name string
 }
 
 // stageBatch lands a column batch under an unregistered stage name.
-// The columnar fast path only runs with no failpoints armed: under
-// injection the batch goes through the split relation path so faults
-// can observe (and rollback can discard) a half-loaded copy.
+// Relational and array targets ingest the batch directly. The columnar
+// fast paths only run with no failpoints armed: under injection the
+// batch goes through the relation path so faults can observe (and
+// rollback can discard) a half-loaded copy.
 func (p *Polystore) stageBatch(ctx context.Context, to EngineKind, stage string, cb *engine.ColumnBatch, opts CastOptions) error {
-	if to == EnginePostgres && !fault.Active() {
+	if (to == EnginePostgres || to == EngineSciDB) && !fault.Active() {
 		if err := ctx.Err(); err != nil {
 			return err
+		}
+		if to == EngineSciDB {
+			return p.loadArray(stage, cb, opts)
 		}
 		return p.Relational.InsertBatch(stage, cb)
 	}
 	return p.loadPhysical(ctx, to, stage, cb.ToRelation(), opts)
+}
+
+// loadArray builds an array from a batch and stores it under name. The
+// dimensions are opts.ArrayDims, else the leading INT columns, else a
+// synthesized row-number dimension "i".
+func (p *Polystore) loadArray(name string, cb *engine.ColumnBatch, opts CastOptions) error {
+	dims := opts.ArrayDims
+	if len(dims) == 0 {
+		dims = leadingIntColumns(cb.Schema)
+	}
+	if len(dims) == 0 {
+		cb = withRowNumber(cb)
+		dims = []string{"i"}
+	}
+	a, err := array.FromBatch(name, cb, dims, opts.Dense)
+	if err != nil {
+		return err
+	}
+	p.ArrayStore.Put(a)
+	return nil
 }
 
 // Load materialises a relation as a new object in the target engine and
@@ -906,21 +965,9 @@ func (p *Polystore) loadPhysical(ctx context.Context, to EngineKind, name string
 			return err
 		}
 	case EngineSciDB:
-		dims := opts.ArrayDims
-		if len(dims) == 0 {
-			dims = leadingIntColumns(rel)
-		}
-		work := rel
-		if len(dims) == 0 {
-			// Synthesize a row-number dimension.
-			work = withRowNumber(rel)
-			dims = []string{"i"}
-		}
-		a, err := array.FromRelation(name, work, dims, opts.Dense)
-		if err != nil {
+		if err := p.loadArray(name, engine.BatchFromRelation(rel), opts); err != nil {
 			return err
 		}
-		p.ArrayStore.Put(a)
 		if err := fault.Hit(FpCastLoadMid); err != nil {
 			return err
 		}
@@ -1004,31 +1051,32 @@ func isKVDumpShape(s engine.Schema) bool {
 // leadingIntColumns returns the names of the leading INT columns, which
 // serve as array dimensions by convention (at least one non-dimension
 // attribute column must remain).
-func leadingIntColumns(rel *engine.Relation) []string {
+func leadingIntColumns(s engine.Schema) []string {
 	var dims []string
-	for _, c := range rel.Schema.Columns {
+	for _, c := range s.Columns {
 		if c.Type != engine.TypeInt {
 			break
 		}
 		dims = append(dims, c.Name)
 	}
-	if len(dims) == len(rel.Schema.Columns) && len(dims) > 0 {
+	if len(dims) == len(s.Columns) && len(dims) > 0 {
 		dims = dims[:len(dims)-1] // keep the last column as the attribute
 	}
 	return dims
 }
 
-func withRowNumber(rel *engine.Relation) *engine.Relation {
-	cols := append([]engine.Column{engine.Col("i", engine.TypeInt)}, rel.Schema.Columns...)
-	out := engine.NewRelation(engine.Schema{Columns: cols})
-	out.Tuples = make([]engine.Tuple, len(rel.Tuples))
-	for i, t := range rel.Tuples {
-		row := make(engine.Tuple, 0, len(t)+1)
-		row = append(row, engine.NewInt(int64(i)))
-		row = append(row, t...)
-		out.Tuples[i] = row
+// withRowNumber prepends an INT column "i" numbering the rows from 0,
+// sharing cb's vectors.
+func withRowNumber(cb *engine.ColumnBatch) *engine.ColumnBatch {
+	ids := make([]int64, cb.NumRows)
+	for i := range ids {
+		ids[i] = int64(i)
 	}
-	return out
+	return &engine.ColumnBatch{
+		Schema:  engine.Schema{Columns: append([]engine.Column{engine.Col("i", engine.TypeInt)}, cb.Schema.Columns...)},
+		Cols:    append([]engine.ColVec{{Kind: engine.TypeInt, Ints: ids}}, cb.Cols...),
+		NumRows: cb.NumRows,
+	}
 }
 
 // relationToTileDB loads (int dims..., float value) rows into a fresh
@@ -1071,8 +1119,9 @@ func relationToTileDB(name string, rel *engine.Relation) (*tiledb.Array, error) 
 }
 
 // Migrate moves an object permanently: cast to the target engine under
-// the same logical name (with a fresh physical name), then repoint the
-// catalog — the operation the monitoring system (§2.1) recommends.
+// the same logical name (with a fresh physical name), repoint the
+// catalog, and drop the source copy — the operation the monitoring
+// system (§2.1) recommends.
 func (p *Polystore) Migrate(object string, to EngineKind, opts CastOptions) (CastResult, error) {
 	return p.MigrateCtx(context.Background(), object, to, opts)
 }
@@ -1093,11 +1142,15 @@ func (p *Polystore) MigrateCtx(ctx context.Context, object string, to EngineKind
 	if err != nil {
 		return res, err
 	}
-	// Repoint the logical name at the migrated copy.
+	// Repoint the logical name at the migrated copy, then drop the
+	// source copy: no island may keep answering from it.
 	p.mu.Lock()
 	delete(p.catalog, strings.ToLower(res.Target))
 	p.catalog[strings.ToLower(object)] = ObjectInfo{Name: object, Engine: to, Physical: res.Target}
 	p.mu.Unlock()
+	if _, sharded := p.placementOf(object); !sharded {
+		p.dropPhysical(info.Engine, info.Physical)
+	}
 	res.Target = object
 	return res, nil
 }

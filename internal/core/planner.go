@@ -698,17 +698,6 @@ func (p *Polystore) dropTempObjects(names []string) {
 			continue
 		}
 		p.Deregister(name)
-		switch info.Engine {
-		case EnginePostgres:
-			_ = p.Relational.DropTable(info.Physical)
-		case EngineSciDB:
-			_ = p.ArrayStore.Remove(info.Physical)
-		case EngineAccumulo:
-			_ = p.KV.DropTable(info.Physical)
-		case EngineTileDB:
-			p.mu.Lock()
-			delete(p.tile, strings.ToLower(info.Physical))
-			p.mu.Unlock()
-		}
+		p.dropPhysical(info.Engine, info.Physical)
 	}
 }

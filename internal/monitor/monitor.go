@@ -114,8 +114,8 @@ type Monitor struct {
 // last hour of latency observations and a 15-minute access half-life.
 func New() *Monitor {
 	return &Monitor{
-		latency:         map[engineKey]*ewma{},
-		accesses:        map[accessKey]*accessStat{},
+		latency:         make(map[engineKey]*ewma, 64),
+		accesses:        make(map[accessKey]*accessStat, 64),
 		MinObservations: 1,
 		MinSpeedup:      1.5,
 		MaxAge:          time.Hour,

@@ -152,6 +152,7 @@ func (db *DB) executeUpdate(s Update) (int, error) {
 	if err != nil {
 		return 0, err
 	}
+	defer t.compact() // each updated row leaves a tombstone
 	rs := baseRowSchema(t.Name, t.Schema)
 	var where evaluator
 	if s.Where != nil {
@@ -275,6 +276,7 @@ func (db *DB) executeDelete(s Delete) (int, error) {
 	for _, slot := range slots {
 		t.deleteSlot(slot)
 	}
+	t.compact()
 	db.stats.queries.Add(1)
 	return len(slots), nil
 }
@@ -317,6 +319,9 @@ func (db *DB) ExecuteSelect(s *Select) (*engine.Relation, error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	db.stats.queries.Add(1)
+	if out, ok := db.pointLookup(s); ok {
+		return out, nil
+	}
 
 	// 1. Build the working set (FROM + JOINs), or a single empty row for
 	// table-less SELECTs. Base scans come back columnar when the
@@ -433,6 +438,56 @@ func (db *DB) ExecuteSelect(s *Select) (*engine.Relation, error) {
 		out.Tuples = out.Tuples[:s.Limit]
 	}
 	return out, nil
+}
+
+// pointLookup answers SELECT * FROM t WHERE pk = literal straight from
+// the primary-key index, skipping the general pipeline (working set,
+// WHERE re-check, projection compile) whose setup is nearly all the
+// cost of a one-row answer. ok is false for every other shape, which
+// then runs the general path. The literal must have the key column's
+// own kind, INT or TEXT, so index-key equality is exactly the row
+// evaluator's equality.
+func (db *DB) pointLookup(s *Select) (*engine.Relation, bool) {
+	if s.From == nil || len(s.Joins) > 0 || s.Distinct || len(s.GroupBy) > 0 || s.Having != nil ||
+		len(s.OrderBy) > 0 || s.Limit >= 0 || s.Offset > 0 ||
+		len(s.Items) != 1 || !s.Items[0].Star || s.Items[0].Table != "" {
+		return nil, false
+	}
+	eq, ok := s.Where.(BinaryExpr)
+	if !ok || eq.Op != "=" {
+		return nil, false
+	}
+	col, lit := eq.Left, eq.Right
+	if _, isCol := col.(ColumnRef); !isCol {
+		col, lit = lit, col
+	}
+	cr, isCol := col.(ColumnRef)
+	l, isLit := lit.(Literal)
+	if !isCol || !isLit {
+		return nil, false
+	}
+	t, err := db.table(s.From.Name)
+	if err != nil || t.PKCol < 0 {
+		return nil, false
+	}
+	if k := l.Val.Kind; k != t.Schema.Columns[t.PKCol].Type || (k != engine.TypeInt && k != engine.TypeString) {
+		return nil, false
+	}
+	alias := s.From.Alias
+	if alias == "" {
+		alias = t.Name
+	}
+	rs := baseRowSchema(alias, t.Schema)
+	if ci, err := rs.resolve(cr.Table, cr.Name); err != nil || ci != t.PKCol {
+		return nil, false
+	}
+	out := engine.NewRelation(rs.toSchema())
+	out.Tuples = make([]engine.Tuple, 0, 1)
+	if slot, hit := t.pkIndex[valueKey(l.Val)]; hit {
+		out.Tuples = append(out.Tuples, t.rows[slot].Clone())
+	}
+	db.stats.rowsScanned.Add(int64(len(out.Tuples)))
+	return out, true
 }
 
 // scanBase reads the base table into the working set: via an index when

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 type tokenKind int
@@ -28,17 +29,46 @@ type token struct {
 	pos  int
 }
 
-var keywords = map[string]bool{
-	"SELECT": true, "FROM": true, "WHERE": true, "GROUP": true, "BY": true,
-	"HAVING": true, "ORDER": true, "ASC": true, "DESC": true, "LIMIT": true,
-	"OFFSET": true, "AS": true, "AND": true, "OR": true, "NOT": true,
-	"INSERT": true, "INTO": true, "VALUES": true, "CREATE": true,
-	"TABLE": true, "INDEX": true, "ON": true, "DELETE": true, "UPDATE": true,
-	"SET": true, "JOIN": true, "INNER": true, "LEFT": true, "OUTER": true,
-	"CROSS": true, "NULL": true, "TRUE": true, "FALSE": true, "LIKE": true,
-	"IN": true, "IS": true, "BETWEEN": true, "DISTINCT": true, "DROP": true,
-	"PRIMARY": true, "KEY": true, "COUNT": true, "SUM": true, "AVG": true,
-	"MIN": true, "MAX": true, "STDDEV": true,
+// keywords maps each keyword to itself, so a lookup hands back the
+// canonical upper-case text without allocating it.
+var keywords = func() map[string]string {
+	m := map[string]string{}
+	for _, k := range []string{
+		"SELECT", "FROM", "WHERE", "GROUP", "BY", "HAVING", "ORDER", "ASC",
+		"DESC", "LIMIT", "OFFSET", "AS", "AND", "OR", "NOT", "INSERT", "INTO",
+		"VALUES", "CREATE", "TABLE", "INDEX", "ON", "DELETE", "UPDATE", "SET",
+		"JOIN", "INNER", "LEFT", "OUTER", "CROSS", "NULL", "TRUE", "FALSE",
+		"LIKE", "IN", "IS", "BETWEEN", "DISTINCT", "DROP", "PRIMARY", "KEY",
+		"COUNT", "SUM", "AVG", "MIN", "MAX", "STDDEV",
+	} {
+		m[k] = k
+	}
+	return m
+}()
+
+// keyword reports whether word is a keyword, case-insensitively, and
+// returns its upper-case text. ASCII words are upper-cased in a stack
+// buffer, so identifiers and keywords alike lex without allocating.
+func keyword(word string) (string, bool) {
+	for i := 0; i < len(word); i++ {
+		if word[i] >= utf8.RuneSelf {
+			up, ok := keywords[strings.ToUpper(word)]
+			return up, ok
+		}
+	}
+	var buf [8]byte // no keyword is longer
+	if len(word) > len(buf) {
+		return "", false
+	}
+	for i := 0; i < len(word); i++ {
+		c := word[i]
+		if 'a' <= c && c <= 'z' {
+			c -= 'a' - 'A'
+		}
+		buf[i] = c
+	}
+	up, ok := keywords[string(buf[:len(word)])]
+	return up, ok
 }
 
 type lexer struct {
@@ -49,7 +79,7 @@ type lexer struct {
 
 // lex tokenises a SQL string.
 func lex(src string) ([]token, error) {
-	l := &lexer{src: src}
+	l := &lexer{src: src, toks: make([]token, 0, 16)}
 	for {
 		tok, err := l.next()
 		if err != nil {
@@ -108,8 +138,7 @@ func (l *lexer) next() (token, error) {
 			l.pos++
 		}
 		word := l.src[start:l.pos]
-		up := strings.ToUpper(word)
-		if keywords[up] {
+		if up, ok := keyword(word); ok {
 			return token{kind: tokKeyword, text: up, pos: start}, nil
 		}
 		return token{kind: tokIdent, text: word, pos: start}, nil

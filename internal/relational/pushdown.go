@@ -2,6 +2,7 @@ package relational
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/engine"
 )
@@ -44,33 +45,8 @@ func (db *DB) DumpBatchWhere(name, predicate string, columns []string) (cb *engi
 		if hasAggregate(e) {
 			return nil, scanned, false, fmt.Errorf("relational: pushdown predicate cannot contain aggregates")
 		}
-		rs := baseRowSchema(t.Name, t.Schema)
-		compiled := false
-		if db.vectorized {
-			vc := &vecCompiler{b: base, rs: rs}
-			if pred, ok := vc.compile(e); ok && pred.kind == engine.TypeBool {
-				sel, err = runVecFilter(pred, identitySel(base.NumRows))
-				if err != nil {
-					return nil, scanned, false, err
-				}
-				compiled = true
-			}
-		}
-		if !compiled {
-			ev, err := compileExpr(e, rs, nil)
-			if err != nil {
-				return nil, scanned, false, err
-			}
-			sel = make([]int32, 0, base.NumRows)
-			for i := 0; i < base.NumRows; i++ {
-				v, err := ev(base.Row(i))
-				if err != nil {
-					return nil, scanned, false, err
-				}
-				if !v.IsNull() && v.AsBool() {
-					sel = append(sel, int32(i))
-				}
-			}
+		if sel, err = filterBatch(base, e, baseRowSchema(t.Name, t.Schema), db.vectorized); err != nil {
+			return nil, scanned, false, err
 		}
 		filtered = true
 	}
@@ -136,4 +112,56 @@ func projectionIndexes(schema engine.Schema, columns []string) ([]int, error) {
 		return nil, nil
 	}
 	return idx, nil
+}
+
+// FilterBatch evaluates a boolean predicate over every row of cb and
+// returns the indexes of the rows where it is TRUE, ascending. Column
+// references resolve, unqualified, against cb.Schema. It is the filter
+// DumpBatchWhere runs, exported so other engines (array cells) share
+// it: the vectorized kernels when the predicate compiles to them, the
+// interpreted row evaluator otherwise, with the same answer either way.
+// Columns the predicate does not name are never read, so a caller may
+// leave them empty (zero rows) rather than build them.
+func FilterBatch(cb *engine.ColumnBatch, e Expr) ([]int32, error) {
+	if hasAggregate(e) {
+		return nil, fmt.Errorf("relational: aggregates not allowed in row expressions")
+	}
+	return filterBatch(cb, e, baseRowSchema("", cb.Schema), true)
+}
+
+// filterBatch is FilterBatch over an explicit row schema; vectorized
+// false forces the row evaluator (the executor's oracle mode).
+func filterBatch(cb *engine.ColumnBatch, e Expr, rs rowSchema, vectorized bool) ([]int32, error) {
+	if vectorized {
+		vc := &vecCompiler{b: cb, rs: rs}
+		if pred, ok := vc.compile(e); ok && pred.kind == engine.TypeBool {
+			return runVecFilter(pred, identitySel(cb.NumRows))
+		}
+	}
+	ev, err := compileExpr(e, rs, nil)
+	if err != nil {
+		return nil, err
+	}
+	// Box only the columns the predicate reads.
+	var used []int
+	WalkColumnRefs(e, func(ref ColumnRef) {
+		if j, err := rs.resolve(ref.Table, ref.Name); err == nil && !slices.Contains(used, j) {
+			used = append(used, j)
+		}
+	})
+	row := make(engine.Tuple, len(cb.Cols))
+	sel := make([]int32, 0, cb.NumRows)
+	for i := 0; i < cb.NumRows; i++ {
+		for _, j := range used {
+			row[j] = cb.Cols[j].Value(i)
+		}
+		v, err := ev(row)
+		if err != nil {
+			return nil, err
+		}
+		if !v.IsNull() && v.AsBool() {
+			sel = append(sel, int32(i))
+		}
+	}
+	return sel, nil
 }

@@ -18,7 +18,7 @@ type Table struct {
 	Schema  engine.Schema
 	PKCol   int // -1 if no primary key
 	rows    []engine.Tuple
-	deleted []bool // tombstones; compacted lazily
+	deleted []bool // tombstones; compacted by compact after DELETE/UPDATE
 	live    int
 
 	pkIndex   map[string]int // value key -> slot
@@ -142,6 +142,40 @@ func (t *Table) deleteSlot(slot int) {
 			delete(idx.slots, k)
 		}
 	}
+}
+
+// compact drops the tombstoned slots once they outnumber the live rows,
+// so scans, column-cache rebuilds and indexes stop carrying dead rows
+// for the table's whole life. Live rows keep their order; the primary
+// key and secondary indexes are rebuilt over the new slot numbers. Slot
+// numbers change, so it runs only at the end of a statement, under the
+// DB write lock — never while a caller holds slots.
+func (t *Table) compact() {
+	if len(t.rows)-t.live <= t.live {
+		return
+	}
+	rows := make([]engine.Tuple, 0, t.live)
+	for slot, row := range t.rows {
+		if !t.deleted[slot] {
+			rows = append(rows, row)
+		}
+	}
+	t.rows = rows
+	t.deleted = make([]bool, len(rows))
+	if t.pkIndex != nil {
+		t.pkIndex = make(map[string]int, len(rows))
+		for slot, row := range rows {
+			t.pkIndex[valueKey(row[t.PKCol])] = slot
+		}
+	}
+	for _, idx := range t.secondary {
+		idx.slots = make(map[string][]int, len(idx.slots))
+		for slot, row := range rows {
+			k := valueKey(row[idx.col])
+			idx.slots[k] = append(idx.slots[k], slot)
+		}
+	}
+	t.version++
 }
 
 // addIndex builds a secondary index on the named column.
