@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # bench.sh — run the E-series experiment benchmarks, the relational
 # executor benchmarks and the CAST pushdown benchmarks with -benchmem,
-# snapshotting the numbers into BENCH_relational.json and
-# BENCH_cast_pushdown.json so the perf trajectory is tracked PR over PR.
+# snapshotting the numbers into BENCH_experiments.json,
+# BENCH_relational.json and BENCH_cast_pushdown.json so the perf
+# trajectory is tracked PR over PR.
 #
 # BENCH_cast_pushdown.json records the planner acceptance scenario:
 # bytes moved (wire_bytes/op) and elapsed time for a selective CAST
@@ -25,6 +26,9 @@
 #                             # partitioned across 1/2/4 in-process BDWQ
 #                             # shard servers behind a coordinator, write
 #                             # BENCH_shard.json (QPS/p99 vs shard count)
+#   ./bench.sh --relational   # only the ./internal/relational benchmarks,
+#                             # write BENCH_relational.json (CI gates its
+#                             # allocs_per_op against the committed copy)
 #
 # Every mode fails loudly: a benchmark that does not build, errors out,
 # or produces zero parseable entries exits non-zero — an empty or
@@ -102,6 +106,8 @@ to_json() {
       if ($(i+1) == "wire_bytes/op") wire = $i
     }
     if (ns == "") next
+    # Drop the -GOMAXPROCS suffix so entry names match across machines.
+    sub(/-[0-9]+$/, "", name)
     if (!first) print "," >> out
     first = 0
     printf "  {\"name\": \"%s\", \"iterations\": %s, \"ns_per_op\": %s", name, iters, ns >> out
@@ -196,14 +202,24 @@ if [[ "${1:-}" == "--shard" ]]; then
 fi
 
 RAW_RELATIONAL="$(mktemp)"
+RAW_EXPERIMENTS="$(mktemp)"
 RAW_PUSHDOWN="$(mktemp)"
-trap 'rm -f "$RAW_RELATIONAL" "$RAW_PUSHDOWN"' EXIT
+trap 'rm -f "$RAW_RELATIONAL" "$RAW_EXPERIMENTS" "$RAW_PUSHDOWN"' EXIT
 
-# E-series experiment benchmarks at the repo root.
-run "$RAW_RELATIONAL" . 'BenchmarkE[0-9]'
-# Relational executor benchmarks: row vs vectorized, DML index path.
+# Relational executor benchmarks: row vs vectorized, the MIMIC-shaped
+# join and GROUP BY reads, DML index path. Allocation counts are
+# machine-independent, so CI gates them (allocs_per_op) against the
+# committed BENCH_relational.json.
 run "$RAW_RELATIONAL" ./internal/relational 'Benchmark'
 to_json "$RAW_RELATIONAL" "$OUT_RELATIONAL"
+if [[ "${1:-}" == "--relational" ]]; then
+  exit 0
+fi
+
+# E-series experiment benchmarks at the repo root.
+OUT_EXPERIMENTS="${OUT_EXPERIMENTS:-BENCH_experiments.json}"
+run "$RAW_EXPERIMENTS" . 'BenchmarkE[0-9]'
+to_json "$RAW_EXPERIMENTS" "$OUT_EXPERIMENTS"
 
 # CAST pushdown: bytes moved + latency, planner on/off, 10k/100k rows.
 run "$RAW_PUSHDOWN" ./internal/core 'BenchmarkCastPushdown|BenchmarkQueryPushdown'

@@ -167,6 +167,9 @@ func New() *Polystore {
 	// reads them at snapshot time.
 	reg.GaugeFunc("engine.postgres.queries", func() int64 { return p.Relational.Stats().Queries })
 	reg.GaugeFunc("engine.postgres.rows_scanned", func() int64 { return p.Relational.Stats().RowsScanned })
+	for i, stage := range relational.FallbackStages {
+		reg.GaugeFunc("relational.fallback."+stage, func() int64 { return p.Relational.Stats().Fallbacks[i] })
+	}
 	reg.GaugeFunc("fault.hits", func() int64 {
 		var n int64
 		for _, fp := range CastFailpoints() {

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/analytics"
@@ -425,15 +426,24 @@ func E10EngineSpecialisation(cfg Config) (Table, error) {
 	notesOnArray := err == nil
 	_ = notesArr
 
-	iters := cfg.scale(3, 10)
+	// Each engine is measured warm: one untimed call first (so cold
+	// caches and first-use setup do not pick the winner), then the
+	// median of the timed calls.
+	iters := cfg.scale(5, 11)
 	timeQ := func(fn func() error) (time.Duration, error) {
-		start := time.Now()
-		for i := 0; i < iters; i++ {
+		if err := fn(); err != nil {
+			return 0, err
+		}
+		ds := make([]time.Duration, iters)
+		for i := range ds {
+			start := time.Now()
 			if err := fn(); err != nil {
 				return 0, err
 			}
+			ds[i] = time.Since(start)
 		}
-		return time.Since(start) / time.Duration(iters), nil
+		slices.Sort(ds)
+		return ds[iters/2], nil
 	}
 	query := func(q string) func() error {
 		return func() error {

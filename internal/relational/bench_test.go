@@ -208,3 +208,66 @@ func BenchmarkParse(b *testing.B) {
 		}
 	}
 }
+
+// mimicDB is the MIMIC II shape the benchmark's relational reads run
+// on: 100k labs rows over 5000 patients, six lab tests.
+func mimicDB(b *testing.B) *DB {
+	b.Helper()
+	db := NewDB()
+	for _, ddl := range []string{
+		`CREATE TABLE patients (id INT PRIMARY KEY, age INT, race TEXT)`,
+		`CREATE TABLE labs (lab_id INT PRIMARY KEY, patient_id INT, test TEXT, value FLOAT)`,
+	} {
+		if _, err := db.Execute(ddl); err != nil {
+			b.Fatal(err)
+		}
+	}
+	races := []string{"white", "black", "asian", "hispanic", "other"}
+	tests := []string{"lactate", "creatinine", "hemoglobin", "sodium", "potassium", "glucose"}
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	pt, _ := db.table("patients")
+	lt, _ := db.table("labs")
+	for i := 0; i < 5000; i++ {
+		if err := pt.insert(engine.Tuple{engine.NewInt(int64(i + 1)), engine.NewInt(int64(18 + i%70)), engine.NewString(races[i%len(races)])}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for i := 0; i < 100_000; i++ {
+		row := engine.Tuple{engine.NewInt(int64(i + 1)), engine.NewInt(int64(1 + (i*7919)%5000)),
+			engine.NewString(tests[(i/3)%len(tests)]), engine.NewFloat(1 + float64((i*37)%1000)/100)}
+		if err := lt.insert(row); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return db
+}
+
+// benchQuery times q on a warm column cache, reporting allocations —
+// the numbers `bench.sh --relational` gates.
+func benchQuery(b *testing.B, db *DB, q string) {
+	if _, err := db.Query(q); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := db.Query(q); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkJoinFilterPushdown is the labs⋈patients read: the WHERE
+// conjunct on labs filters below the join, the join reads patients
+// through its chained build, and the group key goes through the
+// patients.race dictionary.
+func BenchmarkJoinFilterPushdown(b *testing.B) {
+	benchQuery(b, mimicDB(b), `SELECT p.race, COUNT(*) AS n, AVG(l.value) AS mean FROM labs l JOIN patients p ON l.patient_id = p.id WHERE l.test = 'sodium' GROUP BY p.race`)
+}
+
+// BenchmarkGroupByStringKey is the filtered labs GROUP BY over a
+// low-cardinality string key.
+func BenchmarkGroupByStringKey(b *testing.B) {
+	benchQuery(b, mimicDB(b), `SELECT test, COUNT(*) AS n, AVG(value) AS mean FROM labs WHERE value > 3.00 GROUP BY test`)
+}

@@ -236,22 +236,28 @@ func (db *DB) collectMatchingSlots(t *Table, rs rowSchema, whereExpr Expr, where
 			}
 		}
 	}
+	// Full scan, under the write lock. The rows read are counted locally
+	// and added to the shared counter once.
 	var slots []int
-	err := t.scan(func(slot int, row engine.Tuple) error {
-		db.stats.rowsScanned.Add(1)
+	scanned := 0
+	defer func() { db.stats.rowsScanned.Add(int64(scanned)) }()
+	for slot, row := range t.rows {
+		if t.deleted[slot] {
+			continue
+		}
+		scanned++
 		if where != nil {
 			v, err := where(row)
 			if err != nil {
-				return err
+				return nil, err
 			}
 			if v.IsNull() || !v.AsBool() {
-				return nil
+				continue
 			}
 		}
 		slots = append(slots, slot)
-		return nil
-	})
-	return slots, err
+	}
+	return slots, nil
 }
 
 func (db *DB) executeDelete(s Delete) (int, error) {
@@ -282,36 +288,91 @@ func (db *DB) executeDelete(s Delete) (int, error) {
 }
 
 // rowset is the working set flowing through the SELECT pipeline:
-// either a column batch plus selection vector (the vectorized executor)
+// either column views plus a selection vector (the vectorized executor)
 // or materialised tuples (the row-at-a-time path and every fallback).
 type rowset struct {
 	rs     rowSchema
-	batch  *engine.ColumnBatch
-	sel    []int32 // selection into batch; nil = all rows
+	views  []colView // one per column of rs; see colView
+	n      int       // rows the views span
+	sel    []int32   // selection into the views; nil = all n rows
 	rows   []engine.Tuple
 	isRows bool
 }
 
 // selection returns the current selection vector, materialising the
-// identity selection on first use.
+// identity selection on first use. The working set owns it, so filters
+// may narrow it in place.
 func (w *rowset) selection() []int32 {
 	if w.sel == nil {
-		w.sel = identitySel(w.batch.NumRows)
+		w.sel = identitySel(w.n)
 	}
 	return w.sel
 }
 
-// materialize converts the working set to row form; the bridge from the
-// vectorized pipeline into the row-at-a-time fallback.
-func (w *rowset) materialize() []engine.Tuple {
-	if !w.isRows {
-		if w.batch != nil {
-			w.rows = materializeRows(w.batch, w.sel)
+// forChunks calls fn with the selection vecChunk rows at a time; an
+// identity selection is generated chunk by chunk, never materialised.
+func (w *rowset) forChunks(fn func(chunk []int32) error) error {
+	if w.sel != nil {
+		for lo := 0; lo < len(w.sel); lo += vecChunk {
+			if err := fn(w.sel[lo:min(lo+vecChunk, len(w.sel))]); err != nil {
+				return err
+			}
 		}
-		w.isRows = true
-		w.batch, w.sel = nil, nil
+		return nil
 	}
-	return w.rows
+	buf := make([]int32, 0, min(w.n, vecChunk))
+	for lo := 0; lo < w.n; lo += vecChunk {
+		buf = buf[:0]
+		for i := lo; i < min(lo+vecChunk, w.n); i++ {
+			buf = append(buf, int32(i))
+		}
+		if err := fn(buf); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// row boxes working-set row i.
+func (w *rowset) row(i int32) engine.Tuple {
+	t := make(engine.Tuple, len(w.views))
+	for j := range w.views {
+		t[j] = w.views[j].value(i)
+	}
+	return t
+}
+
+// materialize converts the working set to row form, boxing the selected
+// rows through the views into tuples carved from one arena.
+func (w *rowset) materialize() []engine.Tuple {
+	if w.isRows {
+		return w.rows
+	}
+	sel := w.selection()
+	ncols := len(w.views)
+	rows := make([]engine.Tuple, len(sel))
+	arena := make([]engine.Value, len(sel)*ncols)
+	for k := range sel {
+		rows[k] = engine.Tuple(arena[k*ncols : (k+1)*ncols : (k+1)*ncols])
+	}
+	for j := range w.views {
+		v := &w.views[j]
+		for k, i := range sel {
+			arena[k*ncols+j] = v.value(i)
+		}
+	}
+	w.rows, w.isRows = rows, true
+	w.views, w.sel = nil, nil
+	return rows
+}
+
+// toRows moves the working set to row form for a stage the vectorizer
+// could not compile, counting the drop against that stage.
+func (db *DB) toRows(ws *rowset, stage fallbackStage) []engine.Tuple {
+	if !ws.isRows {
+		db.stats.fallbacks[stage].Add(1)
+	}
+	return ws.materialize()
 }
 
 // ExecuteSelect runs a parsed SELECT.
@@ -325,9 +386,11 @@ func (db *DB) ExecuteSelect(s *Select) (*engine.Relation, error) {
 
 	// 1. Build the working set (FROM + JOINs), or a single empty row for
 	// table-less SELECTs. Base scans come back columnar when the
-	// vectorized executor is on; any stage the vectorizer cannot compile
+	// vectorized executor is on, and WHERE conjuncts that name one table
+	// filter it below the joins; any stage the vectorizer cannot compile
 	// materialises rows and continues on the row path.
 	var ws rowset
+	where := s.Where
 	if s.From == nil {
 		ws.rows, ws.isRows = []engine.Tuple{{}}, true
 	} else {
@@ -341,7 +404,13 @@ func (db *DB) ExecuteSelect(s *Select) (*engine.Relation, error) {
 		}
 		ws.rs = baseRowSchema(alias, base.Schema)
 		db.scanBase(base, &ws, s)
-		for _, j := range s.Joins {
+		var buildSels [][]int32
+		if !ws.isRows && len(s.Joins) > 0 && where != nil {
+			if where, buildSels, err = db.pushDownWhere(&ws, s); err != nil {
+				return nil, err
+			}
+		}
+		for ji, j := range s.Joins {
 			jt, err := db.table(j.Table.Name)
 			if err != nil {
 				return nil, err
@@ -350,15 +419,19 @@ func (db *DB) ExecuteSelect(s *Select) (*engine.Relation, error) {
 			if jalias == "" {
 				jalias = jt.Name
 			}
-			if err := db.joinStep(&ws, jt, jalias, j); err != nil {
+			var buildSel []int32
+			if buildSels != nil {
+				buildSel = buildSels[ji]
+			}
+			if err := db.joinStep(&ws, jt, jalias, j, buildSel); err != nil {
 				return nil, err
 			}
 		}
 	}
 
-	// 2. WHERE.
-	if s.Where != nil {
-		if err := db.applyWhere(&ws, s.Where); err != nil {
+	// 2. WHERE (what is left of it after pushdown).
+	if where != nil {
+		if err := db.applyWhere(&ws, where); err != nil {
 			return nil, err
 		}
 	}
@@ -510,8 +583,9 @@ func (db *DB) scanBase(t *Table, ws *rowset, s *Select) {
 		}
 	}
 	if db.vectorized {
-		ws.batch = t.columnBatch()
-		db.stats.rowsScanned.Add(int64(ws.batch.NumRows))
+		snap := t.snapshot()
+		ws.views, ws.n = batchViews(snap.batch, snap), snap.batch.NumRows
+		db.stats.rowsScanned.Add(int64(ws.n))
 		return
 	}
 	rows := make([]engine.Tuple, 0, t.live)
@@ -523,23 +597,153 @@ func (db *DB) scanBase(t *Table, ws *rowset, s *Select) {
 	ws.rows, ws.isRows = rows, true
 }
 
-// joinStep joins the working set with table jt, using the batch hash
-// join when the working set is columnar and the ON clause is a typed
-// equi-join; otherwise it materialises rows and uses the row join.
-func (db *DB) joinStep(ws *rowset, jt *Table, jalias string, j Join) error {
-	if !ws.isRows && db.vectorized && j.Kind != JoinCross && j.On != nil {
-		rightRS := baseRowSchema(jalias, jt.Schema)
+// pushDownWhere filters the working set's base table, and the build
+// sides of INNER joins, by the WHERE conjuncts that name only that
+// table (see vector.go, "Pushdown"). It returns the conjuncts left for
+// after the joins (nil when none are) and, per join, the build-side
+// selection (nil: every row).
+func (db *DB) pushDownWhere(ws *rowset, s *Select) (Expr, [][]int32, error) {
+	if canError(s.Where) {
+		return s.Where, nil, nil
+	}
+	// The joined schema, with each table's span in it.
+	joined := append(rowSchema{}, ws.rs...)
+	type span struct {
+		t        *Table
+		rs       rowSchema
+		off      int
+		conj     []Expr
+		pushable bool
+	}
+	spans := make([]span, len(s.Joins))
+	for i, j := range s.Joins {
+		jt, err := db.table(j.Table.Name)
+		if err != nil {
+			return s.Where, nil, nil // the join step reports it
+		}
+		alias := j.Table.Alias
+		if alias == "" {
+			alias = jt.Name
+		}
+		rs := baseRowSchema(alias, jt.Schema)
+		spans[i] = span{t: jt, rs: rs, off: len(joined), pushable: j.Kind == JoinInner}
+		joined = append(joined, rs...)
+	}
+	var rest, baseConj []Expr
+	for _, c := range splitAnd(s.Where) {
+		lo, hi, ok := columnSpan(c, joined)
+		switch {
+		case !ok:
+			rest = append(rest, c)
+		case hi < len(ws.rs):
+			baseConj = append(baseConj, c)
+		default:
+			// The join table holding the first column must hold all.
+			i := len(spans) - 1
+			for i > 0 && lo < spans[i].off {
+				i--
+			}
+			if sp := &spans[i]; sp.pushable && lo >= sp.off && hi < sp.off+len(sp.rs) {
+				sp.conj = append(sp.conj, c)
+			} else {
+				rest = append(rest, c)
+			}
+		}
+	}
+	// filter narrows sel (owned) by the conjuncts that compile over the
+	// views; the others stay for after the joins.
+	filter := func(views []colView, rs rowSchema, conj []Expr, sel []int32) ([]int32, error) {
+		vc := &vecCompiler{views: views, rs: rs}
+		for _, c := range conj {
+			f, ok := vc.compileFilter(c)
+			if !ok {
+				rest = append(rest, c)
+				continue
+			}
+			var err error
+			if sel, err = runFilter(f, sel); err != nil {
+				return nil, err
+			}
+		}
+		return sel, nil
+	}
+	if len(baseConj) > 0 {
+		sel, err := filter(ws.views, ws.rs, baseConj, ws.selection())
+		if err != nil {
+			return nil, nil, err
+		}
+		ws.sel = sel
+	}
+	buildSels := make([][]int32, len(spans))
+	for i, sp := range spans {
+		if len(sp.conj) == 0 {
+			continue
+		}
+		snap := sp.t.snapshot()
+		sel, err := filter(batchViews(snap.batch, snap), sp.rs, sp.conj, identitySel(snap.batch.NumRows))
+		if err != nil {
+			return nil, nil, err
+		}
+		buildSels[i] = sel
+	}
+	return joinAnd(rest), buildSels, nil
+}
+
+// splitAnd flattens the AND-conjuncts of e, left to right.
+func splitAnd(e Expr) []Expr {
+	if be, ok := e.(BinaryExpr); ok && be.Op == "AND" {
+		return append(splitAnd(be.Left), splitAnd(be.Right)...)
+	}
+	return []Expr{e}
+}
+
+// joinAnd is the inverse of splitAnd; nil for no conjuncts.
+func joinAnd(conj []Expr) Expr {
+	if len(conj) == 0 {
+		return nil
+	}
+	e := conj[0]
+	for _, c := range conj[1:] {
+		e = BinaryExpr{Op: "AND", Left: e, Right: c}
+	}
+	return e
+}
+
+// columnSpan resolves every column e names in rs and returns the lowest
+// and highest position; ok is false when e names no column or a name
+// does not resolve (missing or ambiguous).
+func columnSpan(e Expr, rs rowSchema) (lo, hi int, ok bool) {
+	lo, hi, ok = len(rs), -1, true
+	WalkColumnRefs(e, func(ref ColumnRef) {
+		idx, err := rs.resolve(ref.Table, ref.Name)
+		if err != nil {
+			ok = false
+			return
+		}
+		lo, hi = min(lo, idx), max(hi, idx)
+	})
+	return lo, hi, ok && hi >= 0
+}
+
+// joinStep joins the working set with table jt: the batch hash join
+// when the working set is columnar and ON is a typed equi-join,
+// otherwise the row join over materialised rows. buildSel, when set,
+// restricts jt to those rows of its snapshot (pushed-down conjuncts).
+func (db *DB) joinStep(ws *rowset, jt *Table, jalias string, j Join, buildSel []int32) error {
+	rightRS := baseRowSchema(jalias, jt.Schema)
+	if !ws.isRows && j.Kind != JoinCross && j.On != nil {
 		if lIdx, rIdx, ok := equiJoinCols(j.On, ws.rs, rightRS); ok {
-			rb := jt.columnBatch()
-			combined := append(append(rowSchema{}, ws.rs...), rightRS...)
-			if out, ok := vecHashJoin(ws.batch, ws.selection(), rb, lIdx, rIdx, j.Kind, combined.toSchema()); ok {
-				db.stats.rowsScanned.Add(int64(rb.NumRows))
-				ws.batch, ws.sel, ws.rs = out, nil, combined
+			snap := jt.snapshot()
+			if lrows, rrows, ok := vecHashJoin(&ws.views[lIdx], ws.sel, ws.n, &snap.batch.Cols[rIdx], buildSel, j.Kind == JoinLeft); ok {
+				db.stats.rowsScanned.Add(int64(snap.batch.NumRows))
+				ws.views = joinViews(ws.views, lrows, snap, rrows)
+				ws.rs = append(append(rowSchema{}, ws.rs...), rightRS...)
+				ws.n, ws.sel = len(lrows), nil
 				return nil
 			}
 		}
 	}
-	rows, rs, err := db.executeJoin(ws.materialize(), ws.rs, jt, jalias, j)
+	rows, rs, err := db.executeJoin(db.toRows(ws, fallbackJoin), ws.rs, jt, jalias, j, buildSel)
 	if err != nil {
 		return err
 	}
@@ -547,14 +751,14 @@ func (db *DB) joinStep(ws *rowset, jt *Table, jalias string, j Join) error {
 	return nil
 }
 
-// applyWhere filters the working set, vectorized when the predicate
-// compiles to a boolean kernel (partitioned across workers for large
-// batches), else row-at-a-time.
+// applyWhere filters the working set through the filter kernels when
+// the predicate compiles to them (partitioned across workers for large
+// selections), else row-at-a-time.
 func (db *DB) applyWhere(ws *rowset, where Expr) error {
 	if !ws.isRows {
-		vc := &vecCompiler{b: ws.batch, rs: ws.rs}
-		if pred, ok := vc.compile(where); ok && pred.kind == engine.TypeBool {
-			sel, err := runVecFilter(pred, ws.selection())
+		vc := &vecCompiler{views: ws.views, rs: ws.rs}
+		if f, ok := vc.compileFilter(where); ok {
+			sel, err := runFilter(f, ws.selection())
 			if err != nil {
 				return err
 			}
@@ -562,7 +766,7 @@ func (db *DB) applyWhere(ws *rowset, where Expr) error {
 			return nil
 		}
 	}
-	rows := ws.materialize()
+	rows := db.toRows(ws, fallbackFilter)
 	ev, err := compileExpr(where, ws.rs, nil)
 	if err != nil {
 		return err
@@ -621,7 +825,9 @@ func indexableEquality(e Expr, rs rowSchema, t *Table) (ci int, v engine.Value, 
 }
 
 // executeJoin joins the accumulated working rows with table jt.
-func (db *DB) executeJoin(left []engine.Tuple, leftRS rowSchema, jt *Table, jalias string, j Join) ([]engine.Tuple, rowSchema, error) {
+// buildSel, when set, keeps only those live rows of jt (in scan order,
+// which is its column snapshot's row order).
+func (db *DB) executeJoin(left []engine.Tuple, leftRS rowSchema, jt *Table, jalias string, j Join, buildSel []int32) ([]engine.Tuple, rowSchema, error) {
 	rightRS := baseRowSchema(jalias, jt.Schema)
 	combined := append(append(rowSchema{}, leftRS...), rightRS...)
 
@@ -631,6 +837,13 @@ func (db *DB) executeJoin(left []engine.Tuple, leftRS rowSchema, jt *Table, jali
 		return nil
 	})
 	db.stats.rowsScanned.Add(int64(len(rightRows)))
+	if buildSel != nil {
+		kept := make([]engine.Tuple, len(buildSel))
+		for k, r := range buildSel {
+			kept[k] = rightRows[r]
+		}
+		rightRows = kept
+	}
 
 	if j.Kind == JoinCross {
 		out := make([]engine.Tuple, 0, len(left)*len(rightRows))
@@ -789,7 +1002,7 @@ func (db *DB) projectPlain(s *Select, ws *rowset) (*engine.Relation, error) {
 			return rel, nil
 		}
 	}
-	rows := ws.materialize()
+	rows := db.toRows(ws, fallbackProject)
 	evals := make([]evaluator, len(exprs))
 	for i, e := range exprs {
 		evals[i], err = compileExpr(e, rs, nil)
@@ -827,9 +1040,10 @@ func (db *DB) projectPlain(s *Select, ws *rowset) (*engine.Relation, error) {
 }
 
 // projectPlainVec evaluates the output expressions as column kernels
-// over the selection and assembles the result tuples from one arena.
+// over the selection, chunk by chunk, and assembles the result tuples
+// from one arena.
 func projectPlainVec(exprs []Expr, names []string, ws *rowset) (*engine.Relation, bool, error) {
-	vc := &vecCompiler{b: ws.batch, rs: ws.rs}
+	vc := &vecCompiler{views: ws.views, rs: ws.rs}
 	evs := make([]vecExpr, len(exprs))
 	for i, e := range exprs {
 		ev, ok := vc.compile(e)
@@ -838,22 +1052,34 @@ func projectPlainVec(exprs []Expr, names []string, ws *rowset) (*engine.Relation
 		}
 		evs[i] = ev
 	}
-	sel := ws.selection()
+	n := ws.n
+	if ws.sel != nil {
+		n = len(ws.sel)
+	}
 	out := engine.NewRelation(outputSchema(names, exprs, ws.rs))
-	n, ncols := len(sel), len(evs)
+	ncols := len(evs)
 	out.Tuples = make([]engine.Tuple, n)
 	arena := make([]engine.Value, n*ncols)
 	for k := range out.Tuples {
 		out.Tuples[k] = engine.Tuple(arena[k*ncols : (k+1)*ncols : (k+1)*ncols])
 	}
-	var v vec
-	for j := range evs {
-		if err := evs[j].eval(sel, &v); err != nil {
-			return nil, false, err
+	sc := &scratch{}
+	v := sc.getVec()
+	base := 0
+	err := ws.forChunks(func(chunk []int32) error {
+		for j := range evs {
+			if err := evs[j].eval(chunk, v, sc); err != nil {
+				return err
+			}
+			for k := range chunk {
+				arena[(base+k)*ncols+j] = v.valueAt(k)
+			}
 		}
-		for k := 0; k < n; k++ {
-			arena[k*ncols+j] = v.valueAt(k)
-		}
+		base += len(chunk)
+		return nil
+	})
+	if err != nil {
+		return nil, false, err
 	}
 	return out, true, nil
 }
@@ -1122,25 +1348,23 @@ func (db *DB) projectGrouped(s *Select, ws *rowset) (*engine.Relation, error) {
 		groupBy[i] = resolved
 	}
 
-	var groups map[string]*aggGroup
-	var order []string
+	var groups []*aggGroup // in first-appearance order
 	accumulated := false
 	if !ws.isRows {
-		groups, order, accumulated, err = groupAccumVec(ws, groupBy, aggCalls)
+		groups, accumulated, err = groupAccumVec(ws, groupBy, aggCalls)
 		if err != nil {
 			return nil, err
 		}
 	}
 	if !accumulated {
-		groups, order, err = db.groupAccumRows(ws, groupBy, aggCalls)
+		groups, err = db.groupAccumRows(ws, groupBy, aggCalls)
 		if err != nil {
 			return nil, err
 		}
 	}
 	// Aggregate-only query over zero rows still yields one group.
 	if len(groups) == 0 && len(s.GroupBy) == 0 {
-		groups[""] = newAggGroup(nullTuple(len(rs)), aggCalls)
-		order = append(order, "")
+		groups = append(groups, newAggGroup(nullTuple(len(rs)), aggCalls))
 	}
 
 	// Compile output expressions with aggregate lookup. The lookup closes
@@ -1182,8 +1406,7 @@ func (db *DB) projectGrouped(s *Select, ws *rowset) (*engine.Relation, error) {
 		}
 	}
 	out := engine.NewRelation(schema)
-	for _, k := range order {
-		g := groups[k]
+	for _, g := range groups {
 		currentAggs = make(map[string]engine.Value, len(aggKeys))
 		for i, key := range aggKeys {
 			currentAggs[key] = g.aggs[i].result()
@@ -1218,14 +1441,15 @@ func (db *DB) projectGrouped(s *Select, ws *rowset) (*engine.Relation, error) {
 }
 
 // groupAccumRows is the row-at-a-time accumulation loop: interpreted
-// group-key and aggregate-argument closures per row.
-func (db *DB) groupAccumRows(ws *rowset, groupBy []Expr, aggCalls []FuncCall) (map[string]*aggGroup, []string, error) {
+// group-key and aggregate-argument closures per row. It returns the
+// groups in first-appearance order.
+func (db *DB) groupAccumRows(ws *rowset, groupBy []Expr, aggCalls []FuncCall) ([]*aggGroup, error) {
 	rs := ws.rs
 	groupEvals := make([]evaluator, len(groupBy))
 	for i, g := range groupBy {
 		ev, err := compileExpr(g, rs, nil)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		groupEvals[i] = ev
 	}
@@ -1236,28 +1460,28 @@ func (db *DB) groupAccumRows(ws *rowset, groupBy []Expr, aggCalls []FuncCall) (m
 		}
 		ev, err := compileExpr(fc.Args[0], rs, nil)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		aggArgEvals[i] = ev
 	}
-	groups := map[string]*aggGroup{}
-	var order []string
-	for _, row := range ws.materialize() {
+	byKey := map[string]*aggGroup{}
+	var groups []*aggGroup
+	for _, row := range db.toRows(ws, fallbackGroup) {
 		var kb strings.Builder
 		for _, ge := range groupEvals {
 			v, err := ge(row)
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			kb.WriteString(valueKey(v))
 			kb.WriteByte('\x1f')
 		}
 		k := kb.String()
-		g, ok := groups[k]
+		g, ok := byKey[k]
 		if !ok {
 			g = newAggGroup(row, aggCalls)
-			groups[k] = g
-			order = append(order, k)
+			byKey[k] = g
+			groups = append(groups, g)
 		}
 		for i, st := range g.aggs {
 			if aggArgEvals[i] == nil {
@@ -1266,263 +1490,10 @@ func (db *DB) groupAccumRows(ws *rowset, groupBy []Expr, aggCalls []FuncCall) (m
 			}
 			v, err := aggArgEvals[i](row)
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			st.add(v)
 		}
 	}
-	return groups, order, nil
-}
-
-// groupAccumVec is the vectorized accumulation: group keys and
-// aggregate arguments are evaluated as column kernels over the
-// selection, one pass assigns every row a dense group id (specialised
-// hash maps for single int/string keys, byte-encoded composite keys
-// otherwise), then each aggregate runs a typed loop over its argument
-// vector into flat per-group accumulators — no per-row boxing, no
-// per-row closure calls.
-func groupAccumVec(ws *rowset, groupBy []Expr, aggCalls []FuncCall) (map[string]*aggGroup, []string, bool, error) {
-	vc := &vecCompiler{b: ws.batch, rs: ws.rs}
-	gevs := make([]vecExpr, len(groupBy))
-	for i, g := range groupBy {
-		ev, ok := vc.compile(g)
-		if !ok {
-			return nil, nil, false, nil
-		}
-		gevs[i] = ev
-	}
-	argEvs := make([]*vecExpr, len(aggCalls))
-	for i, fc := range aggCalls {
-		if fc.Star {
-			continue // COUNT(*): no argument
-		}
-		ev, ok := vc.compile(fc.Args[0])
-		if !ok {
-			return nil, nil, false, nil
-		}
-		argEvs[i] = &ev
-	}
-
-	sel := ws.selection()
-	n := len(sel)
-	gvecs := make([]vec, len(gevs))
-	for i := range gevs {
-		if err := gevs[i].eval(sel, &gvecs[i]); err != nil {
-			return nil, nil, false, err
-		}
-	}
-	avecs := make([]*vec, len(argEvs))
-	for i, ev := range argEvs {
-		if ev == nil {
-			continue
-		}
-		avecs[i] = &vec{}
-		if err := ev.eval(sel, avecs[i]); err != nil {
-			return nil, nil, false, err
-		}
-	}
-
-	// Phase 1: assign each selected row a dense group id.
-	var glist []*aggGroup
-	var keys []string
-	newGroup := func(k int) int32 {
-		var buf []byte
-		for gi := range gvecs {
-			buf = gvecs[gi].appendGroupKey(buf, k)
-		}
-		glist = append(glist, newAggGroup(ws.batch.Row(int(sel[k])), aggCalls))
-		keys = append(keys, string(buf))
-		return int32(len(glist) - 1)
-	}
-	gids := make([]int32, n)
-	switch {
-	case len(gvecs) == 1 && gvecs[0].kind == engine.TypeInt:
-		gv := &gvecs[0]
-		m := make(map[int64]int32, 64)
-		nullGid := int32(-1)
-		for k := 0; k < n; k++ {
-			if gv.null[k] {
-				if nullGid < 0 {
-					nullGid = newGroup(k)
-				}
-				gids[k] = nullGid
-				continue
-			}
-			gid, ok := m[gv.ints[k]]
-			if !ok {
-				gid = newGroup(k)
-				m[gv.ints[k]] = gid
-			}
-			gids[k] = gid
-		}
-	case len(gvecs) == 1 && gvecs[0].kind == engine.TypeString:
-		gv := &gvecs[0]
-		m := make(map[string]int32, 64)
-		nullGid := int32(-1)
-		for k := 0; k < n; k++ {
-			if gv.null[k] {
-				if nullGid < 0 {
-					nullGid = newGroup(k)
-				}
-				gids[k] = nullGid
-				continue
-			}
-			gid, ok := m[gv.strs[k]]
-			if !ok {
-				gid = newGroup(k)
-				m[gv.strs[k]] = gid
-			}
-			gids[k] = gid
-		}
-	default:
-		m := make(map[string]int32, 64)
-		var buf []byte
-		for k := 0; k < n; k++ {
-			buf = buf[:0]
-			for gi := range gvecs {
-				buf = gvecs[gi].appendGroupKey(buf, k)
-			}
-			gid, ok := m[string(buf)]
-			if !ok {
-				gid = newGroup(k)
-				m[string(buf)] = gid
-			}
-			gids[k] = gid
-		}
-	}
-
-	// Phase 2: typed accumulation per aggregate.
-	for i, fc := range aggCalls {
-		accumAggVec(glist, gids, i, fc, avecs[i])
-	}
-
-	groups := make(map[string]*aggGroup, len(glist))
-	for g, key := range keys {
-		groups[key] = glist[g]
-	}
-	return groups, keys, true, nil
-}
-
-// accumAggVec folds one aggregate's argument vector into its per-group
-// states through flat typed accumulator arrays, boxing at most once per
-// group (for MIN/MAX results) instead of once per row.
-func accumAggVec(glist []*aggGroup, gids []int32, agg int, fc FuncCall, av *vec) {
-	ng := len(glist)
-	if av == nil { // COUNT(*)
-		counts := make([]int64, ng)
-		for _, gid := range gids {
-			counts[gid]++
-		}
-		for g, c := range counts {
-			glist[g].aggs[agg].count += c
-		}
-		return
-	}
-	if fc.Distinct || (av.kind != engine.TypeInt && av.kind != engine.TypeFloat && av.kind != engine.TypeString) {
-		// DISTINCT needs the per-value de-dup map; exotic kinds keep the
-		// reference semantics of aggState.add.
-		for k, gid := range gids {
-			glist[gid].aggs[agg].add(av.valueAt(k))
-		}
-		return
-	}
-	counts := make([]int64, ng)
-	sums := make([]float64, ng)
-	sumSqs := make([]float64, ng)
-	has := make([]bool, ng)
-	finish := func(g int, minV, maxV engine.Value) {
-		st := glist[g].aggs[agg]
-		st.count = counts[g]
-		st.sum = sums[g]
-		st.sumSq = sumSqs[g]
-		st.min, st.max = minV, maxV
-		st.hasVal = true
-	}
-	switch av.kind {
-	case engine.TypeInt:
-		mins := make([]int64, ng)
-		maxs := make([]int64, ng)
-		for k, gid := range gids {
-			if av.null[k] {
-				continue
-			}
-			v := av.ints[k]
-			f := float64(v)
-			counts[gid]++
-			sums[gid] += f
-			sumSqs[gid] += f * f
-			if !has[gid] {
-				mins[gid], maxs[gid], has[gid] = v, v, true
-			} else {
-				if v < mins[gid] {
-					mins[gid] = v
-				}
-				if v > maxs[gid] {
-					maxs[gid] = v
-				}
-			}
-		}
-		for g := 0; g < ng; g++ {
-			if has[g] {
-				finish(g, engine.NewInt(mins[g]), engine.NewInt(maxs[g]))
-			}
-		}
-	case engine.TypeFloat:
-		mins := make([]float64, ng)
-		maxs := make([]float64, ng)
-		for k, gid := range gids {
-			if av.null[k] {
-				continue
-			}
-			v := av.floats[k]
-			counts[gid]++
-			sums[gid] += v
-			sumSqs[gid] += v * v
-			if !has[gid] {
-				mins[gid], maxs[gid], has[gid] = v, v, true
-			} else {
-				if v < mins[gid] {
-					mins[gid] = v
-				}
-				if v > maxs[gid] {
-					maxs[gid] = v
-				}
-			}
-		}
-		for g := 0; g < ng; g++ {
-			if has[g] {
-				finish(g, engine.NewFloat(mins[g]), engine.NewFloat(maxs[g]))
-			}
-		}
-	case engine.TypeString:
-		mins := make([]string, ng)
-		maxs := make([]string, ng)
-		for k, gid := range gids {
-			if av.null[k] {
-				continue
-			}
-			v := av.strs[k]
-			// aggState sums strings through AsFloat (NaN when
-			// unparsable); replicate for result parity.
-			f := engine.NewString(v).AsFloat()
-			counts[gid]++
-			sums[gid] += f
-			sumSqs[gid] += f * f
-			if !has[gid] {
-				mins[gid], maxs[gid], has[gid] = v, v, true
-			} else {
-				if v < mins[gid] {
-					mins[gid] = v
-				}
-				if v > maxs[gid] {
-					maxs[gid] = v
-				}
-			}
-		}
-		for g := 0; g < ng; g++ {
-			if has[g] {
-				finish(g, engine.NewString(mins[g]), engine.NewString(maxs[g]))
-			}
-		}
-	}
+	return groups, nil
 }

@@ -3,6 +3,7 @@ package relational
 import (
 	"fmt"
 	"slices"
+	"sync/atomic"
 
 	"repro/internal/engine"
 )
@@ -45,7 +46,7 @@ func (db *DB) DumpBatchWhere(name, predicate string, columns []string) (cb *engi
 		if hasAggregate(e) {
 			return nil, scanned, false, fmt.Errorf("relational: pushdown predicate cannot contain aggregates")
 		}
-		if sel, err = filterBatch(base, e, baseRowSchema(t.Name, t.Schema), db.vectorized); err != nil {
+		if sel, err = filterBatch(base, e, baseRowSchema(t.Name, t.Schema), db.vectorized, &db.stats.fallbacks[fallbackFilter]); err != nil {
 			return nil, scanned, false, err
 		}
 		filtered = true
@@ -118,7 +119,7 @@ func projectionIndexes(schema engine.Schema, columns []string) ([]int, error) {
 // returns the indexes of the rows where it is TRUE, ascending. Column
 // references resolve, unqualified, against cb.Schema. It is the filter
 // DumpBatchWhere runs, exported so other engines (array cells) share
-// it: the vectorized kernels when the predicate compiles to them, the
+// it: the filter kernels when the predicate compiles to them, the
 // interpreted row evaluator otherwise, with the same answer either way.
 // Columns the predicate does not name are never read, so a caller may
 // leave them empty (zero rows) rather than build them.
@@ -126,16 +127,21 @@ func FilterBatch(cb *engine.ColumnBatch, e Expr) ([]int32, error) {
 	if hasAggregate(e) {
 		return nil, fmt.Errorf("relational: aggregates not allowed in row expressions")
 	}
-	return filterBatch(cb, e, baseRowSchema("", cb.Schema), true)
+	return filterBatch(cb, e, baseRowSchema("", cb.Schema), true, nil)
 }
 
-// filterBatch is FilterBatch over an explicit row schema; vectorized
-// false forces the row evaluator (the executor's oracle mode).
-func filterBatch(cb *engine.ColumnBatch, e Expr, rs rowSchema, vectorized bool) ([]int32, error) {
+// filterBatch is FilterBatch over an explicit row schema: the filter
+// kernels when vectorized is set and e compiles, else the row evaluator
+// (vectorized false is the executor's oracle mode). A vectorized
+// request that takes the row evaluator counts in fallbacks, if set.
+func filterBatch(cb *engine.ColumnBatch, e Expr, rs rowSchema, vectorized bool, fallbacks *atomic.Int64) ([]int32, error) {
 	if vectorized {
-		vc := &vecCompiler{b: cb, rs: rs}
-		if pred, ok := vc.compile(e); ok && pred.kind == engine.TypeBool {
-			return runVecFilter(pred, identitySel(cb.NumRows))
+		vc := &vecCompiler{views: batchViews(cb, nil), rs: rs}
+		if f, ok := vc.compileFilter(e); ok {
+			return runFilter(f, identitySel(cb.NumRows))
+		}
+		if fallbacks != nil {
+			fallbacks.Add(1)
 		}
 	}
 	ev, err := compileExpr(e, rs, nil)
@@ -164,4 +170,35 @@ func filterBatch(cb *engine.ColumnBatch, e Expr, rs rowSchema, vectorized bool) 
 		}
 	}
 	return sel, nil
+}
+
+// gatherVec copies src at the given rows.
+func gatherVec(src *engine.ColVec, rows []int32) engine.ColVec {
+	out := engine.ColVec{Kind: src.Kind}
+	switch src.Kind {
+	case engine.TypeInt:
+		out.Ints = make([]int64, len(rows))
+		gatherTyped(out.Ints, src.Ints, rows, nil)
+	case engine.TypeFloat:
+		out.Floats = make([]float64, len(rows))
+		gatherTyped(out.Floats, src.Floats, rows, nil)
+	case engine.TypeString:
+		out.Strs = make([]string, len(rows))
+		gatherTyped(out.Strs, src.Strs, rows, nil)
+	case engine.TypeBool:
+		out.Bools = make([]bool, len(rows))
+		gatherTyped(out.Bools, src.Bools, rows, nil)
+	default:
+		out.Any = make([]engine.Value, len(rows))
+		gatherTyped(out.Any, src.Any, rows, nil)
+		return out
+	}
+	if len(src.Nulls) > 0 {
+		for k, r := range rows {
+			if src.Nulls.Get(int(r)) {
+				out.Nulls.Set(k)
+			}
+		}
+	}
+	return out
 }

@@ -31,8 +31,72 @@ type Table struct {
 	// lock.
 	version  int64
 	cacheMu  sync.Mutex
-	colCache *engine.ColumnBatch
+	colCache *colSnapshot
 	cacheVer int64
+}
+
+// colSnapshot is one immutable columnar image of a table's live rows,
+// plus the GROUP BY dictionaries of its string columns, built on
+// demand (see dict). A mutation replaces the table's snapshot rather than
+// touching it, so readers keep what they hold, and the dictionaries go
+// with the snapshot they describe.
+type colSnapshot struct {
+	batch     *engine.ColumnBatch
+	dictAsked []atomic.Bool
+	dictOnce  []sync.Once
+	dicts     []*strDict
+}
+
+func newSnapshot(b *engine.ColumnBatch) *colSnapshot {
+	n := len(b.Cols)
+	return &colSnapshot{batch: b, dictAsked: make([]atomic.Bool, n), dictOnce: make([]sync.Once, n), dicts: make([]*strDict, n)}
+}
+
+// maxDictValues bounds the distinct values of a dictionary-encoded
+// column; a column with more is not low-cardinality and gets none.
+const maxDictValues = 1 << 12
+
+// strDict encodes a string column as codes: 0 for NULL, else 1 + the
+// index of the row's value in first-appearance order; n values in all.
+type strDict struct {
+	codes []uint16
+	n     int
+}
+
+// dict returns the dictionary of string column col, or nil when col is
+// not a string column or has more than maxDictValues distinct values.
+// The first request also gets nil: a dictionary pass reads every row,
+// which pays off only when the snapshot serves more than one grouping
+// (a table under writes gets a new snapshot for nearly every read).
+// Later requests build it once, safely under concurrent readers.
+func (s *colSnapshot) dict(col int) *strDict {
+	if !s.dictAsked[col].Swap(true) {
+		return nil
+	}
+	s.dictOnce[col].Do(func() {
+		c := &s.batch.Cols[col]
+		if c.Kind != engine.TypeString {
+			return
+		}
+		ids := make(map[string]uint16, 64)
+		codes := make([]uint16, len(c.Strs))
+		for i, v := range c.Strs {
+			if c.Nulls.Get(i) {
+				continue
+			}
+			id, ok := ids[v]
+			if !ok {
+				if len(ids) == maxDictValues {
+					return
+				}
+				id = uint16(len(ids) + 1)
+				ids[v] = id
+			}
+			codes[i] = id
+		}
+		s.dicts[col] = &strDict{codes: codes, n: len(ids)}
+	})
+	return s.dicts[col]
 }
 
 type index struct {
@@ -230,17 +294,22 @@ func (t *Table) scan(fn func(slot int, row engine.Tuple) error) error {
 // Len returns the number of live rows.
 func (t *Table) Len() int { return t.live }
 
-// columnBatch returns the cached columnar image of the live rows,
+// columnBatch returns the current snapshot's batch: the shared view
+// DumpBatch and DumpBatchWhere hand out (the batchalias analyzer keys
+// on this name to flag writes through it).
+func (t *Table) columnBatch() *engine.ColumnBatch { return t.snapshot().batch }
+
+// snapshot returns the cached columnar image of the live rows,
 // rebuilding it when the table has mutated since the last build. The
-// returned batch is an immutable snapshot: mutations bump version and
-// the next call builds a fresh batch rather than touching this one, so
-// callers (including CAST encoders running outside the table lock) may
-// keep reading it.
-func (t *Table) columnBatch() *engine.ColumnBatch {
+// snapshot is immutable: mutations bump version and the next call
+// builds a fresh one rather than touching this one, so callers
+// (including CAST encoders running outside the table lock) may keep
+// reading it.
+func (t *Table) snapshot() *colSnapshot {
 	t.cacheMu.Lock()
 	defer t.cacheMu.Unlock()
 	if t.colCache == nil || t.cacheVer != t.version {
-		t.colCache = buildColumnBatch(t.Schema, t.rows, t.deleted, t.live)
+		t.colCache = newSnapshot(buildColumnBatch(t.Schema, t.rows, t.deleted, t.live))
 		t.cacheVer = t.version
 	}
 	return t.colCache
@@ -314,12 +383,32 @@ type DB struct {
 type engineCounters struct {
 	queries     atomic.Int64
 	rowsScanned atomic.Int64
+	fallbacks   [numFallbackStages]atomic.Int64
 }
+
+// fallbackStage names a stage of the vectorized SELECT pipeline that
+// can drop to the row-at-a-time path.
+type fallbackStage int
+
+const (
+	fallbackFilter fallbackStage = iota
+	fallbackJoin
+	fallbackGroup
+	fallbackProject
+	numFallbackStages
+)
+
+// FallbackStages names the stages EngineStats.Fallbacks counts, in
+// order.
+var FallbackStages = [numFallbackStages]string{"filter", "join", "group", "project"}
 
 // EngineStats counts work done by the engine, for the monitoring system.
 type EngineStats struct {
 	Queries     int64
 	RowsScanned int64
+	// Fallbacks counts, per stage (FallbackStages), the times the
+	// vectorized executor could not compile a stage and ran it on rows.
+	Fallbacks [numFallbackStages]int64
 }
 
 // NewDB creates an empty database.
@@ -338,10 +427,14 @@ func (db *DB) SetVectorized(on bool) {
 
 // Stats returns a snapshot of the engine counters.
 func (db *DB) Stats() EngineStats {
-	return EngineStats{
+	st := EngineStats{
 		Queries:     db.stats.queries.Load(),
 		RowsScanned: db.stats.rowsScanned.Load(),
 	}
+	for i := range st.Fallbacks {
+		st.Fallbacks[i] = db.stats.fallbacks[i].Load()
+	}
+	return st
 }
 
 // CreateTable registers a new table programmatically.

@@ -1,6 +1,7 @@
 package relational
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -14,16 +15,65 @@ import (
 // Vectorized executor kernels. The row-at-a-time executor in exec.go
 // interprets one compiled closure tree per row; the kernels here compile
 // the same Expr tree once into batch operators that run tight typed
-// loops over ColumnBatch vectors, driven by a selection vector (indices
-// of the surviving rows). Plans the compiler cannot express — scalar
+// loops over column vectors, driven by a selection vector (indices of
+// the surviving rows). Plans the compiler cannot express — scalar
 // function calls, mixed-type (generic) columns, exotic comparisons —
-// report !ok and the executor falls back to the row path, so
-// vectorization is always a pure optimisation, never a semantics change.
+// report !ok and the executor falls back to the row path (counted per
+// stage in EngineStats.Fallbacks), so vectorization is always a pure
+// optimisation, never a semantics change.
+//
+// Working set. A vectorized working set is a list of column views
+// (colView): a column of a table's cached column batch, read either
+// directly (base scans) or through a row vector (join results, where a
+// -1 row is a LEFT JOIN's NULL padding). A join therefore copies no
+// column data: later stages read the columns they name through the row
+// vectors, and only the row fallback boxes every column.
+//
+// Filters. WHERE predicates compile through compileFilter into filter
+// kernels that narrow a selection vector in place: `column op literal`
+// and `column op column` compares read the column where it lies and
+// append the passing rows, and AND narrows step by step (its right side
+// sees only the rows its left side kept — the short circuit). Every
+// other predicate shape (OR, NOT, IN, BETWEEN, LIKE, IS NULL, compares
+// over expressions or join views) runs a value kernel into a bool
+// vector and keeps the TRUE rows. Value kernels take their temporaries
+// from a per-query scratch and run over chunks of vecChunk rows, so
+// after the first chunk nothing allocates. An AND whose right side can
+// raise an error (division, modulo, function calls) keeps the value
+// kernel, which, like the row path, evaluates the right side over the
+// rows the left side left TRUE or NULL.
+//
+// Pushdown. ExecuteSelect filters below the joins: the AND-conjuncts of
+// WHERE that name only the FROM table filter it before the first join,
+// and those that name only an INNER-joined table filter that join's
+// build side. A conjunct moves only when no conjunct of the WHERE can
+// raise an error and when every column it names resolves to the same
+// column in the joined schema (a name a later table shares stays
+// ambiguous and errors as on the row path); conjuncts on the right side
+// of a LEFT JOIN never move.
+//
+// Join. vecHashJoin builds one head entry per key plus a next-row chain
+// over the (filtered) build side — no per-key slices — and probes in
+// selection order, emitting (left row, right row) pairs with build rows
+// ascending, the row path's order.
+//
+// Group. groupAccumVec assigns dense group ids in first-appearance
+// order, chunk by chunk. A single string key column with a snapshot
+// dictionary (low-cardinality columns, from a snapshot's second
+// grouping on: colSnapshot.dict) maps rows to groups through the
+// dictionary codes, read straight from the base column through the
+// selection; other keys are evaluated into chunk vectors and hashed.
+// Aggregates fold each chunk into flat typed per-group accumulators and
+// box once per group.
 
-// parallelScanRows is the batch cardinality at which base-table scans
-// and filters partition across workers (worker-per-chunk, merged in
-// selection order at the end).
+// parallelScanRows is the selection size at which filters partition
+// across workers (worker-per-range, compacted in order at the end).
 const parallelScanRows = 1 << 15
+
+// vecChunk is the number of selected rows a value kernel evaluates at a
+// time; scratch vectors are this long, stay cache-resident and are
+// reused from chunk to chunk.
+const vecChunk = 1024
 
 // vec is one intermediate result vector, dense over the current
 // selection: entry k holds the value for row sel[k]. null[k] marks SQL
@@ -37,49 +87,36 @@ type vec struct {
 	null   []bool
 }
 
-// reset prepares the vector for n results of the given kind. null and
-// bools are zeroed (the short-circuiting AND kernel relies on skipped
-// rows reading false); ints/floats/strs buffers come back dirty, so
-// every kernel must write all selected entries of those.
+// reset prepares the vector for n results of the given kind, reusing
+// its buffers. null and bools are zeroed (the short-circuiting AND
+// kernel relies on skipped rows reading false); ints/floats/strs come
+// back dirty, so a kernel must write every non-NULL entry of those.
 func (v *vec) reset(kind engine.Type, n int) {
 	v.kind = kind
-	if cap(v.null) < n {
-		v.null = make([]bool, n)
-	} else {
-		v.null = v.null[:n]
-		for i := range v.null {
-			v.null[i] = false
-		}
-	}
+	v.null = resize(v.null, n)
+	clear(v.null)
 	switch kind {
 	case engine.TypeInt:
-		if cap(v.ints) < n {
-			v.ints = make([]int64, n)
-		} else {
-			v.ints = v.ints[:n]
-		}
+		v.ints = resize(v.ints, n)
 	case engine.TypeFloat:
-		if cap(v.floats) < n {
-			v.floats = make([]float64, n)
-		} else {
-			v.floats = v.floats[:n]
-		}
+		v.floats = resize(v.floats, n)
 	case engine.TypeString:
-		if cap(v.strs) < n {
-			v.strs = make([]string, n)
-		} else {
-			v.strs = v.strs[:n]
-		}
+		v.strs = resize(v.strs, n)
 	case engine.TypeBool:
-		if cap(v.bools) < n {
-			v.bools = make([]bool, n)
-		} else {
-			v.bools = v.bools[:n]
-			for i := range v.bools {
-				v.bools[i] = false
-			}
-		}
+		v.bools = resize(v.bools, n)
+		clear(v.bools)
 	}
+}
+
+// resize returns s with length n, reallocating only when it is too
+// short. Kernels see at most vecChunk rows at a time, so a fresh buffer
+// takes that capacity at once rather than growing chunk by chunk as
+// narrowed selections vary in length.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n, max(n, vecChunk))
+	}
+	return s[:n]
 }
 
 // valueAt boxes entry k.
@@ -132,18 +169,91 @@ func (v *vec) appendGroupKey(buf []byte, k int) []byte {
 	}
 }
 
-// vecExpr is a compiled vectorized expression: a statically known result
-// kind plus an evaluator. Evaluators are reentrant (no captured mutable
-// state) so chunked scans may share one compiled tree across workers.
-type vecExpr struct {
-	kind engine.Type
-	eval func(sel []int32, out *vec) error
+// scratch holds the temporaries of one evaluation stream (one query, or
+// one worker of a partitioned filter): vectors and selection buffers
+// that kernels take and give back stack-wise, keeping their capacity,
+// so a kernel tree allocates on its first chunk and never again.
+type scratch struct {
+	vecs []*vec
+	sels [][]int32
 }
 
-// vecCompiler compiles Expr trees against one specific batch.
+func (sc *scratch) getVec() *vec {
+	if n := len(sc.vecs); n > 0 {
+		v := sc.vecs[n-1]
+		sc.vecs = sc.vecs[:n-1]
+		return v
+	}
+	return &vec{}
+}
+
+func (sc *scratch) putVec(v *vec) { sc.vecs = append(sc.vecs, v) }
+
+// getSel returns an empty selection buffer with room for n rows.
+func (sc *scratch) getSel(n int) []int32 {
+	if k := len(sc.sels); k > 0 {
+		s := sc.sels[k-1]
+		sc.sels = sc.sels[:k-1]
+		if cap(s) >= n {
+			return s[:0]
+		}
+	}
+	return make([]int32, 0, max(n, vecChunk))
+}
+
+func (sc *scratch) putSel(s []int32) { sc.sels = append(sc.sels, s) }
+
+// colView is one column of a vectorized working set. Working-set row i
+// reads src at row i when rows is nil, else at rows[i]; a negative
+// rows entry is a LEFT JOIN's NULL padding. snap and col name the
+// table snapshot column src is (nil snap for batches that are not a
+// table's cache), for its dictionary.
+type colView struct {
+	src  *engine.ColVec
+	rows []int32
+	snap *colSnapshot
+	col  int
+}
+
+// at maps working-set row i to its src row (-1: NULL padding).
+func (v *colView) at(i int32) int32 {
+	if v.rows == nil {
+		return i
+	}
+	return v.rows[i]
+}
+
+// value boxes working-set row i.
+func (v *colView) value(i int32) engine.Value {
+	r := v.at(i)
+	if r < 0 {
+		return engine.Null
+	}
+	return v.src.Value(int(r))
+}
+
+// batchViews views every column of b directly.
+func batchViews(b *engine.ColumnBatch, snap *colSnapshot) []colView {
+	views := make([]colView, len(b.Cols))
+	for j := range b.Cols {
+		views[j] = colView{src: &b.Cols[j], snap: snap, col: j}
+	}
+	return views
+}
+
+// vecExpr is a compiled vectorized expression: a statically known result
+// kind plus an evaluator. Evaluators are reentrant (no captured mutable
+// state; temporaries come from the scratch passed in) so partitioned
+// filters may share one compiled tree across workers.
+type vecExpr struct {
+	kind engine.Type
+	eval func(sel []int32, out *vec, sc *scratch) error
+}
+
+// vecCompiler compiles Expr trees against one working set.
 type vecCompiler struct {
-	b  *engine.ColumnBatch
-	rs rowSchema
+	views []colView
+	rs    rowSchema
 }
 
 func isNumericKind(t engine.Type) bool { return t == engine.TypeInt || t == engine.TypeFloat }
@@ -162,8 +272,8 @@ func (vc *vecCompiler) compile(e Expr) (vecExpr, bool) {
 	case Literal:
 		return vc.compileLiteral(ex.Val)
 	case ColumnRef:
-		idx, err := vc.rs.resolve(ex.Table, ex.Name)
-		if err != nil || idx >= len(vc.b.Cols) {
+		idx, ok := vc.resolve(ex)
+		if !ok {
 			return vecExpr{}, false
 		}
 		return vc.compileColumn(idx)
@@ -178,9 +288,10 @@ func (vc *vecCompiler) compile(e Expr) (vecExpr, bool) {
 				return vecExpr{}, false
 			}
 			kind := inner.kind
-			return vecExpr{kind: kind, eval: func(sel []int32, out *vec) error {
-				var in vec
-				if err := inner.eval(sel, &in); err != nil {
+			return vecExpr{kind: kind, eval: func(sel []int32, out *vec, sc *scratch) error {
+				in := sc.getVec()
+				defer sc.putVec(in)
+				if err := inner.eval(sel, in, sc); err != nil {
 					return err
 				}
 				out.reset(kind, len(sel))
@@ -200,9 +311,10 @@ func (vc *vecCompiler) compile(e Expr) (vecExpr, bool) {
 			if inner.kind != engine.TypeBool {
 				return vecExpr{}, false
 			}
-			return vecExpr{kind: engine.TypeBool, eval: func(sel []int32, out *vec) error {
-				var in vec
-				if err := inner.eval(sel, &in); err != nil {
+			return vecExpr{kind: engine.TypeBool, eval: func(sel []int32, out *vec, sc *scratch) error {
+				in := sc.getVec()
+				defer sc.putVec(in)
+				if err := inner.eval(sel, in, sc); err != nil {
 					return err
 				}
 				out.reset(engine.TypeBool, len(sel))
@@ -223,9 +335,10 @@ func (vc *vecCompiler) compile(e Expr) (vecExpr, bool) {
 			return vecExpr{}, false
 		}
 		not := ex.Not
-		return vecExpr{kind: engine.TypeBool, eval: func(sel []int32, out *vec) error {
-			var in vec
-			if err := inner.eval(sel, &in); err != nil {
+		return vecExpr{kind: engine.TypeBool, eval: func(sel []int32, out *vec, sc *scratch) error {
+			in := sc.getVec()
+			defer sc.putVec(in)
+			if err := inner.eval(sel, in, sc); err != nil {
 				return err
 			}
 			out.reset(engine.TypeBool, len(sel))
@@ -244,6 +357,12 @@ func (vc *vecCompiler) compile(e Expr) (vecExpr, bool) {
 	}
 }
 
+// resolve finds the working-set column a reference names.
+func (vc *vecCompiler) resolve(ref ColumnRef) (int, bool) {
+	idx, err := vc.rs.resolve(ref.Table, ref.Name)
+	return idx, err == nil && idx < len(vc.views)
+}
+
 func (vc *vecCompiler) compileLiteral(v engine.Value) (vecExpr, bool) {
 	kind := v.Kind
 	switch kind {
@@ -251,68 +370,78 @@ func (vc *vecCompiler) compileLiteral(v engine.Value) (vecExpr, bool) {
 	default:
 		return vecExpr{}, false
 	}
-	return vecExpr{kind: kind, eval: func(sel []int32, out *vec) error {
+	return vecExpr{kind: kind, eval: func(sel []int32, out *vec, _ *scratch) error {
 		out.reset(kind, len(sel))
 		switch kind {
 		case engine.TypeInt:
-			for k := range out.ints {
-				out.ints[k] = v.I
-			}
+			fill(out.ints, v.I)
 		case engine.TypeFloat:
-			for k := range out.floats {
-				out.floats[k] = v.F
-			}
+			fill(out.floats, v.F)
 		case engine.TypeString:
-			for k := range out.strs {
-				out.strs[k] = v.S
-			}
+			fill(out.strs, v.S)
 		case engine.TypeBool:
-			for k := range out.bools {
-				out.bools[k] = v.B
-			}
+			fill(out.bools, v.B)
 		}
 		return nil
 	}}, true
 }
 
+func fill[T any](dst []T, v T) {
+	for k := range dst {
+		dst[k] = v
+	}
+}
+
+// compileColumn reads working-set column idx through its view.
 func (vc *vecCompiler) compileColumn(idx int) (vecExpr, bool) {
-	col := &vc.b.Cols[idx]
-	kind := col.Kind
+	view := vc.views[idx]
+	src := view.src
+	kind := src.Kind
 	if kind == engine.TypeNull {
 		return vecExpr{}, false // generic column: row path
 	}
-	nulls := col.Nulls
-	return vecExpr{kind: kind, eval: func(sel []int32, out *vec) error {
+	rows, nulls := view.rows, src.Nulls
+	return vecExpr{kind: kind, eval: func(sel []int32, out *vec, _ *scratch) error {
 		out.reset(kind, len(sel))
 		switch kind {
 		case engine.TypeInt:
-			src := col.Ints
-			for k, i := range sel {
-				out.ints[k] = src[i]
-			}
+			gatherTyped(out.ints, src.Ints, sel, rows)
 		case engine.TypeFloat:
-			src := col.Floats
-			for k, i := range sel {
-				out.floats[k] = src[i]
-			}
+			gatherTyped(out.floats, src.Floats, sel, rows)
 		case engine.TypeString:
-			src := col.Strs
-			for k, i := range sel {
-				out.strs[k] = src[i]
-			}
+			gatherTyped(out.strs, src.Strs, sel, rows)
 		case engine.TypeBool:
-			src := col.Bools
-			for k, i := range sel {
-				out.bools[k] = src[i]
-			}
+			gatherTyped(out.bools, src.Bools, sel, rows)
 		}
-		if len(nulls) > 0 {
+		switch {
+		case rows != nil:
+			for k, i := range sel {
+				r := rows[i]
+				out.null[k] = r < 0 || nulls.Get(int(r))
+			}
+		case len(nulls) > 0:
 			for k, i := range sel {
 				out.null[k] = nulls.Get(int(i))
 			}
 		}
 		return nil
 	}}, true
+}
+
+// gatherTyped copies src at the selected rows, through rows when it is
+// set (padding rows, rows[i] < 0, are left for the caller's NULL mark).
+func gatherTyped[T any](dst, src []T, sel, rows []int32) {
+	if rows == nil {
+		for k, i := range sel {
+			dst[k] = src[i]
+		}
+		return
+	}
+	for k, i := range sel {
+		if r := rows[i]; r >= 0 {
+			dst[k] = src[r]
+		}
+	}
 }
 
 func (vc *vecCompiler) compileBinary(ex BinaryExpr) (vecExpr, bool) {
@@ -333,13 +462,14 @@ func (vc *vecCompiler) compileBinary(ex BinaryExpr) (vecExpr, bool) {
 		// (left true-or-null for AND, false-or-null for OR). This keeps
 		// guarded expressions — `d <> 0 AND 10 / d > 1` — from erroring
 		// on rows the guard excludes.
-		return vecExpr{kind: engine.TypeBool, eval: func(sel []int32, out *vec) error {
-			var lv vec
-			if err := l.eval(sel, &lv); err != nil {
+		return vecExpr{kind: engine.TypeBool, eval: func(sel []int32, out *vec, sc *scratch) error {
+			lv := sc.getVec()
+			defer sc.putVec(lv)
+			if err := l.eval(sel, lv, sc); err != nil {
 				return err
 			}
-			sub := make([]int32, 0, len(sel))
-			subPos := make([]int32, 0, len(sel))
+			sub, subPos := sc.getSel(len(sel)), sc.getSel(len(sel))
+			defer func() { sc.putSel(sub); sc.putSel(subPos) }()
 			for k := range sel {
 				lb, ln := lv.bools[k], lv.null[k]
 				var need bool
@@ -364,8 +494,9 @@ func (vc *vecCompiler) compileBinary(ex BinaryExpr) (vecExpr, bool) {
 			if len(sub) == 0 {
 				return nil
 			}
-			var rv vec
-			if err := r.eval(sub, &rv); err != nil {
+			rv := sc.getVec()
+			defer sc.putVec(rv)
+			if err := r.eval(sub, rv, sc); err != nil {
 				return err
 			}
 			for m, k := range subPos {
@@ -423,12 +554,13 @@ func (vc *vecCompiler) compileBinary(ex BinaryExpr) (vecExpr, bool) {
 		case ">=":
 			wantGt, wantEq = true, true
 		}
-		return vecExpr{kind: engine.TypeBool, eval: func(sel []int32, out *vec) error {
-			var lv, rv vec
-			if err := l.eval(sel, &lv); err != nil {
+		return vecExpr{kind: engine.TypeBool, eval: func(sel []int32, out *vec, sc *scratch) error {
+			lv, rv := sc.getVec(), sc.getVec()
+			defer func() { sc.putVec(lv); sc.putVec(rv) }()
+			if err := l.eval(sel, lv, sc); err != nil {
 				return err
 			}
-			if err := r.eval(sel, &rv); err != nil {
+			if err := r.eval(sel, rv, sc); err != nil {
 				return err
 			}
 			out.reset(engine.TypeBool, len(sel))
@@ -477,12 +609,13 @@ func (vc *vecCompiler) compileBinary(ex BinaryExpr) (vecExpr, bool) {
 		if bothInt {
 			kind = engine.TypeInt
 		}
-		return vecExpr{kind: kind, eval: func(sel []int32, out *vec) error {
-			var lv, rv vec
-			if err := l.eval(sel, &lv); err != nil {
+		return vecExpr{kind: kind, eval: func(sel []int32, out *vec, sc *scratch) error {
+			lv, rv := sc.getVec(), sc.getVec()
+			defer func() { sc.putVec(lv); sc.putVec(rv) }()
+			if err := l.eval(sel, lv, sc); err != nil {
 				return err
 			}
-			if err := r.eval(sel, &rv); err != nil {
+			if err := r.eval(sel, rv, sc); err != nil {
 				return err
 			}
 			out.reset(kind, len(sel))
@@ -546,9 +679,10 @@ func (vc *vecCompiler) compileBinary(ex BinaryExpr) (vecExpr, bool) {
 		// The common shape is a literal pattern: lower it once.
 		if lit, isLit := ex.Right.(Literal); isLit && lit.Val.Kind == engine.TypeString {
 			pattern := strings.ToLower(lit.Val.S)
-			return vecExpr{kind: engine.TypeBool, eval: func(sel []int32, out *vec) error {
-				var lv vec
-				if err := l.eval(sel, &lv); err != nil {
+			return vecExpr{kind: engine.TypeBool, eval: func(sel []int32, out *vec, sc *scratch) error {
+				lv := sc.getVec()
+				defer sc.putVec(lv)
+				if err := l.eval(sel, lv, sc); err != nil {
 					return err
 				}
 				out.reset(engine.TypeBool, len(sel))
@@ -566,12 +700,13 @@ func (vc *vecCompiler) compileBinary(ex BinaryExpr) (vecExpr, bool) {
 		if !ok || r.kind != engine.TypeString {
 			return vecExpr{}, false
 		}
-		return vecExpr{kind: engine.TypeBool, eval: func(sel []int32, out *vec) error {
-			var lv, rv vec
-			if err := l.eval(sel, &lv); err != nil {
+		return vecExpr{kind: engine.TypeBool, eval: func(sel []int32, out *vec, sc *scratch) error {
+			lv, rv := sc.getVec(), sc.getVec()
+			defer func() { sc.putVec(lv); sc.putVec(rv) }()
+			if err := l.eval(sel, lv, sc); err != nil {
 				return err
 			}
-			if err := r.eval(sel, &rv); err != nil {
+			if err := r.eval(sel, rv, sc); err != nil {
 				return err
 			}
 			out.reset(engine.TypeBool, len(sel))
@@ -593,12 +728,13 @@ func (vc *vecCompiler) compileBinary(ex BinaryExpr) (vecExpr, bool) {
 		if !ok || r.kind != engine.TypeString {
 			return vecExpr{}, false
 		}
-		return vecExpr{kind: engine.TypeString, eval: func(sel []int32, out *vec) error {
-			var lv, rv vec
-			if err := l.eval(sel, &lv); err != nil {
+		return vecExpr{kind: engine.TypeString, eval: func(sel []int32, out *vec, sc *scratch) error {
+			lv, rv := sc.getVec(), sc.getVec()
+			defer func() { sc.putVec(lv); sc.putVec(rv) }()
+			if err := l.eval(sel, lv, sc); err != nil {
 				return err
 			}
-			if err := r.eval(sel, &rv); err != nil {
+			if err := r.eval(sel, rv, sc); err != nil {
 				return err
 			}
 			out.reset(engine.TypeString, len(sel))
@@ -630,15 +766,16 @@ func (vc *vecCompiler) compileBetween(ex BetweenExpr) (vecExpr, bool) {
 		return vecExpr{}, false
 	}
 	not := ex.Not
-	return vecExpr{kind: engine.TypeBool, eval: func(sel []int32, out *vec) error {
-		var cv, lv, hv vec
-		if err := c.eval(sel, &cv); err != nil {
+	return vecExpr{kind: engine.TypeBool, eval: func(sel []int32, out *vec, sc *scratch) error {
+		cv, lv, hv := sc.getVec(), sc.getVec(), sc.getVec()
+		defer func() { sc.putVec(cv); sc.putVec(lv); sc.putVec(hv) }()
+		if err := c.eval(sel, cv, sc); err != nil {
 			return err
 		}
-		if err := lo.eval(sel, &lv); err != nil {
+		if err := lo.eval(sel, lv, sc); err != nil {
 			return err
 		}
-		if err := hi.eval(sel, &hv); err != nil {
+		if err := hi.eval(sel, hv, sc); err != nil {
 			return err
 		}
 		out.reset(engine.TypeBool, len(sel))
@@ -694,81 +831,49 @@ func (vc *vecCompiler) compileIn(ex InExpr) (vecExpr, bool) {
 		lits = append(lits, lit.Val)
 	}
 	not := ex.Not
-	if len(lits) == 0 {
+	// member reports whether entry k of the (non-NULL) input matches.
+	var member func(cv *vec, k int) bool
+	allInt := c.kind == engine.TypeInt
+	for _, v := range lits {
+		allInt = allInt && v.Kind == engine.TypeInt
+	}
+	switch {
+	case len(lits) == 0:
 		// Every literal was NULL (or the list was empty): no value can
 		// match, so the result is constant `not` for non-null inputs,
 		// NULL for null inputs — same as the row path's miss case.
-		return vecExpr{kind: engine.TypeBool, eval: func(sel []int32, out *vec) error {
-			var cv vec
-			if err := c.eval(sel, &cv); err != nil {
-				return err
-			}
-			out.reset(engine.TypeBool, len(sel))
-			for k := range sel {
-				if cv.null[k] {
-					out.null[k] = true
-					continue
-				}
-				out.bools[k] = not
-			}
-			return nil
-		}}, true
-	}
-	if c.kind == engine.TypeString {
+		member = func(*vec, int) bool { return false }
+	case c.kind == engine.TypeString:
 		set := make(map[string]bool, len(lits))
 		for _, v := range lits {
 			set[v.S] = true
 		}
-		return vecExpr{kind: engine.TypeBool, eval: func(sel []int32, out *vec) error {
-			var cv vec
-			if err := c.eval(sel, &cv); err != nil {
-				return err
-			}
-			out.reset(engine.TypeBool, len(sel))
-			for k := range out.bools {
-				if cv.null[k] {
-					out.null[k] = true
-					continue
-				}
-				out.bools[k] = set[cv.strs[k]] != not
-			}
-			return nil
-		}}, true
-	}
-	allInt := c.kind == engine.TypeInt
-	for _, v := range lits {
-		if v.Kind != engine.TypeInt {
-			allInt = false
-		}
-	}
-	if allInt {
+		member = func(cv *vec, k int) bool { return set[cv.strs[k]] }
+	case allInt:
 		set := make(map[int64]bool, len(lits))
 		for _, v := range lits {
 			set[v.I] = true
 		}
-		return vecExpr{kind: engine.TypeBool, eval: func(sel []int32, out *vec) error {
-			var cv vec
-			if err := c.eval(sel, &cv); err != nil {
-				return err
-			}
-			out.reset(engine.TypeBool, len(sel))
-			for k := range out.bools {
-				if cv.null[k] {
-					out.null[k] = true
-					continue
+		member = func(cv *vec, k int) bool { return set[cv.ints[k]] }
+	default:
+		floats := make([]float64, len(lits))
+		for i, v := range lits {
+			floats[i] = v.AsFloat()
+		}
+		member = func(cv *vec, k int) bool {
+			f := cv.floatAt(k)
+			for _, lf := range floats {
+				if f == lf {
+					return true
 				}
-				out.bools[k] = set[cv.ints[k]] != not
 			}
-			return nil
-		}}, true
+			return false
+		}
 	}
-	floats := make([]float64, len(lits))
-	for i, v := range lits {
-		floats[i] = v.AsFloat()
-	}
-	return vecExpr{kind: engine.TypeBool, eval: func(sel []int32, out *vec) error {
-		var cv vec
-		if err := c.eval(sel, &cv); err != nil {
+	return vecExpr{kind: engine.TypeBool, eval: func(sel []int32, out *vec, sc *scratch) error {
+		cv := sc.getVec()
+		defer sc.putVec(cv)
+		if err := c.eval(sel, cv, sc); err != nil {
 			return err
 		}
 		out.reset(engine.TypeBool, len(sel))
@@ -777,21 +882,273 @@ func (vc *vecCompiler) compileIn(ex InExpr) (vecExpr, bool) {
 				out.null[k] = true
 				continue
 			}
-			f := cv.floatAt(k)
-			found := false
-			for _, lf := range floats {
-				if f == lf {
-					found = true
-					break
-				}
-			}
-			out.bools[k] = found != not
+			out.bools[k] = member(cv, k) != not
 		}
 		return nil
 	}}, true
 }
 
-// ---------- drivers ----------
+// ---------- filter mode ----------
+
+// vecFilter appends to out, in order, the rows of sel where its
+// predicate is TRUE. out may share sel's backing array: a filter never
+// writes past the position it has read, so it can narrow a selection
+// in place.
+type vecFilter func(sel, out []int32, sc *scratch) ([]int32, error)
+
+// compileFilter is the one filter-mode entry point: WHERE, pushed-down
+// conjuncts and FilterBatch all compile through it. ok is false when
+// the predicate does not vectorize.
+func (vc *vecCompiler) compileFilter(e Expr) (vecFilter, bool) {
+	if be, isBin := e.(BinaryExpr); isBin {
+		switch be.Op {
+		case "AND":
+			// Narrowing hands the right side only the rows the left side
+			// kept; the row path also evaluates it where the left side
+			// is NULL, which matters only if the right side can fail.
+			if !canError(be.Right) {
+				l, lok := vc.compileFilter(be.Left)
+				r, rok := vc.compileFilter(be.Right)
+				if lok && rok {
+					return func(sel, out []int32, sc *scratch) ([]int32, error) {
+						mid, err := l(sel, sc.getSel(len(sel)), sc)
+						if err == nil {
+							out, err = r(mid, out, sc)
+						}
+						sc.putSel(mid)
+						return out, err
+					}, true
+				}
+			}
+		case "=", "<>", "<", "<=", ">", ">=":
+			if f, ok := vc.compileNarrow(be); ok {
+				return f, true
+			}
+		}
+	}
+	pred, ok := vc.compile(e)
+	if !ok || pred.kind != engine.TypeBool {
+		return nil, false
+	}
+	return func(sel, out []int32, sc *scratch) ([]int32, error) {
+		v := sc.getVec()
+		defer sc.putVec(v)
+		if err := pred.eval(sel, v, sc); err != nil {
+			return out, err
+		}
+		for k, i := range sel {
+			if v.bools[k] && !v.null[k] {
+				out = append(out, i)
+			}
+		}
+		return out, nil
+	}, true
+}
+
+// cmpOp is a decoded comparison operator.
+type cmpOp uint8
+
+const (
+	opEq cmpOp = iota
+	opNe
+	opLt
+	opLe
+	opGt
+	opGe
+)
+
+var cmpOps = map[string]cmpOp{"=": opEq, "<>": opNe, "<": opLt, "<=": opLe, ">": opGt, ">=": opGe}
+
+// holds reports whether a comparison result (engine.Compare's sign)
+// satisfies the operator.
+func (o cmpOp) holds(cmp int) bool {
+	switch o {
+	case opEq:
+		return cmp == 0
+	case opNe:
+		return cmp != 0
+	case opLt:
+		return cmp < 0
+	case opLe:
+		return cmp <= 0
+	case opGt:
+		return cmp > 0
+	}
+	return cmp >= 0
+}
+
+// flip is the operator with its operands swapped: a op b ⇔ b flip a.
+func (o cmpOp) flip() cmpOp {
+	switch o {
+	case opLt:
+		return opGt
+	case opLe:
+		return opGe
+	case opGt:
+		return opLt
+	case opGe:
+		return opLe
+	}
+	return o
+}
+
+// compileNarrow compiles `column op literal` (either order) and
+// `column op column` over directly read columns of one kind (a float
+// column also takes an int literal) into an in-place narrowing kernel.
+// Other operand shapes report !ok and take the value kernel.
+func (vc *vecCompiler) compileNarrow(be BinaryExpr) (vecFilter, bool) {
+	op := cmpOps[be.Op]
+	left, right := be.Left, be.Right
+	if _, isLit := left.(Literal); isLit {
+		left, right, op = right, left, op.flip()
+	}
+	lc, ok := vc.directColumn(left)
+	if !ok {
+		return nil, false
+	}
+	if lit, isLit := right.(Literal); isLit {
+		v := lit.Val
+		switch {
+		case lc.Kind == engine.TypeInt && v.Kind == engine.TypeInt:
+			return narrowConst(lc.Ints, lc.Nulls, op, v.I), true
+		case lc.Kind == engine.TypeFloat && isNumericKind(v.Kind):
+			return narrowConst(lc.Floats, lc.Nulls, op, v.AsFloat()), true
+		case lc.Kind == engine.TypeString && v.Kind == engine.TypeString:
+			return narrowConst(lc.Strs, lc.Nulls, op, v.S), true
+		}
+		return nil, false
+	}
+	rc, ok := vc.directColumn(right)
+	if !ok || lc.Kind != rc.Kind {
+		return nil, false
+	}
+	switch lc.Kind {
+	case engine.TypeInt:
+		return narrowCols(lc.Ints, rc.Ints, lc.Nulls, rc.Nulls, op), true
+	case engine.TypeFloat:
+		return narrowCols(lc.Floats, rc.Floats, lc.Nulls, rc.Nulls, op), true
+	case engine.TypeString:
+		return narrowCols(lc.Strs, rc.Strs, lc.Nulls, rc.Nulls, op), true
+	}
+	return nil, false
+}
+
+// directColumn returns the column e names when the working set reads
+// it directly (not through a join's row vector).
+func (vc *vecCompiler) directColumn(e Expr) (*engine.ColVec, bool) {
+	cr, ok := e.(ColumnRef)
+	if !ok {
+		return nil, false
+	}
+	idx, ok := vc.resolve(cr)
+	if !ok || vc.views[idx].rows != nil {
+		return nil, false
+	}
+	return vc.views[idx].src, true
+}
+
+// narrowConst keeps the rows whose column value satisfies op against
+// the constant c. NULL rows never pass. `<>` is `<` or `>`, as in the
+// value kernel.
+func narrowConst[T cmp.Ordered](src []T, nulls engine.Bitmap, op cmpOp, c T) vecFilter {
+	return func(sel, out []int32, _ *scratch) ([]int32, error) {
+		switch op {
+		case opEq:
+			for _, i := range sel {
+				if src[i] == c && !nulls.Get(int(i)) {
+					out = append(out, i)
+				}
+			}
+		case opNe:
+			for _, i := range sel {
+				if (src[i] < c || src[i] > c) && !nulls.Get(int(i)) {
+					out = append(out, i)
+				}
+			}
+		case opLt:
+			for _, i := range sel {
+				if src[i] < c && !nulls.Get(int(i)) {
+					out = append(out, i)
+				}
+			}
+		case opLe:
+			for _, i := range sel {
+				if src[i] <= c && !nulls.Get(int(i)) {
+					out = append(out, i)
+				}
+			}
+		case opGt:
+			for _, i := range sel {
+				if src[i] > c && !nulls.Get(int(i)) {
+					out = append(out, i)
+				}
+			}
+		case opGe:
+			for _, i := range sel {
+				if src[i] >= c && !nulls.Get(int(i)) {
+					out = append(out, i)
+				}
+			}
+		}
+		return out, nil
+	}
+}
+
+// narrowCols keeps the rows where a op b holds, both non-NULL.
+func narrowCols[T cmp.Ordered](a, b []T, an, bn engine.Bitmap, op cmpOp) vecFilter {
+	return func(sel, out []int32, _ *scratch) ([]int32, error) {
+		for _, i := range sel {
+			x, y := a[i], b[i]
+			var hit bool
+			switch op {
+			case opEq:
+				hit = x == y
+			case opNe:
+				hit = x < y || x > y
+			case opLt:
+				hit = x < y
+			case opLe:
+				hit = x <= y
+			case opGt:
+				hit = x > y
+			case opGe:
+				hit = x >= y
+			}
+			if hit && !an.Get(int(i)) && !bn.Get(int(i)) {
+				out = append(out, i)
+			}
+		}
+		return out, nil
+	}
+}
+
+// canError reports whether evaluating e can fail at run time: division
+// and modulo (by zero) and function calls. Comparisons, arithmetic
+// otherwise, LIKE, IN, BETWEEN and IS NULL never do.
+func canError(e Expr) bool {
+	switch ex := e.(type) {
+	case BinaryExpr:
+		return ex.Op == "/" || ex.Op == "%" || canError(ex.Left) || canError(ex.Right)
+	case UnaryExpr:
+		return canError(ex.Expr)
+	case FuncCall:
+		return true
+	case InExpr:
+		if canError(ex.Expr) {
+			return true
+		}
+		for _, a := range ex.List {
+			if canError(a) {
+				return true
+			}
+		}
+	case IsNullExpr:
+		return canError(ex.Expr)
+	case BetweenExpr:
+		return canError(ex.Expr) || canError(ex.Lo) || canError(ex.Hi)
+	}
+	return false
+}
 
 // identitySel returns the selection vector 0..n-1.
 func identitySel(n int) []int32 {
@@ -802,14 +1159,14 @@ func identitySel(n int) []int32 {
 	return sel
 }
 
-// runVecFilter applies the compiled predicate over sel, returning the
-// surviving selection. Large selections partition across workers; each
-// worker filters its chunk and the chunks concatenate in order, so the
-// output order matches the sequential scan.
-func runVecFilter(pred vecExpr, sel []int32) ([]int32, error) {
+// runFilter narrows sel, which the caller owns, in place to the rows
+// where f holds. Large selections partition across workers, each with
+// its own scratch; the kept prefixes of the ranges are then compacted
+// in order, so the result matches the sequential scan.
+func runFilter(f vecFilter, sel []int32) ([]int32, error) {
 	workers := runtime.GOMAXPROCS(0)
 	if len(sel) < parallelScanRows || workers < 2 {
-		return filterChunk(pred, sel)
+		return filterRange(f, sel, &scratch{})
 	}
 	chunk := (len(sel) + workers - 1) / workers
 	type part struct {
@@ -819,119 +1176,69 @@ func runVecFilter(pred vecExpr, sel []int32) ([]int32, error) {
 	parts := make([]part, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > len(sel) {
-			hi = len(sel)
-		}
+		lo, hi := w*chunk, min((w+1)*chunk, len(sel))
 		if lo >= hi {
 			break
 		}
 		wg.Add(1)
 		go func(w, lo, hi int) {
 			defer wg.Done()
-			kept, err := filterChunk(pred, sel[lo:hi])
+			kept, err := filterRange(f, sel[lo:hi:hi], &scratch{})
 			parts[w] = part{kept, err}
 		}(w, lo, hi)
 	}
 	wg.Wait()
-	total := 0
+	n := 0
 	for _, p := range parts {
 		if p.err != nil {
 			return nil, p.err
 		}
-		total += len(p.kept)
+		n += copy(sel[n:], p.kept)
 	}
-	out := make([]int32, 0, total)
-	for _, p := range parts {
-		out = append(out, p.kept...)
+	return sel[:n], nil
+}
+
+// filterRange runs f over sel chunk by chunk, keeping the result in
+// sel's own prefix.
+func filterRange(f vecFilter, sel []int32, sc *scratch) ([]int32, error) {
+	out := sel[:0]
+	for lo := 0; lo < len(sel); lo += vecChunk {
+		var err error
+		if out, err = f(sel[lo:min(lo+vecChunk, len(sel))], out, sc); err != nil {
+			return nil, err
+		}
 	}
 	return out, nil
 }
 
-func filterChunk(pred vecExpr, sel []int32) ([]int32, error) {
-	var out vec
-	if err := pred.eval(sel, &out); err != nil {
-		return nil, err
-	}
-	kept := make([]int32, 0, len(sel))
-	for k, i := range sel {
-		if out.bools[k] && !out.null[k] {
-			kept = append(kept, i)
-		}
-	}
-	return kept, nil
-}
-
 // ---------- batch hash join ----------
 
-// vecHashJoin joins the selected left rows against the right batch on
-// key equality (left column lIdx = right column rIdx), returning the
-// combined batch. ok=false when the key columns are not joinable in
-// typed form (generic columns, bools, string-vs-number), in which case
-// the caller falls back to the row join.
-func vecHashJoin(lb *engine.ColumnBatch, lsel []int32, rb *engine.ColumnBatch,
-	lIdx, rIdx int, kind JoinKind, combined engine.Schema) (*engine.ColumnBatch, bool) {
-	lc, rc := &lb.Cols[lIdx], &rb.Cols[rIdx]
-	var lrows, rrows []int32
-	left := kind == JoinLeft
-
+// vecHashJoin joins the working-set rows lsel (nil: all n of them)
+// with the build rows rsel of rc (nil: all of them) on key equality,
+// returning the matching (left row, build row) pairs in probe order
+// with build rows ascending; a -1 build row is LEFT JOIN padding. The
+// build side is one head row per key plus a next-row chain. ok=false
+// when the key columns are not joinable in typed form (generic
+// columns, bools, string-vs-number), in which case the caller falls
+// back to the row join.
+func vecHashJoin(lv *colView, lsel []int32, n int, rc *engine.ColVec, rsel []int32, left bool) (lrows, rrows []int32, ok bool) {
+	lc := lv.src
 	switch {
 	case lc.Kind == engine.TypeInt && rc.Kind == engine.TypeInt:
-		build := make(map[int64][]int32, rb.NumRows)
-		for i, v := range rc.Ints {
-			if !rc.Nulls.Get(i) {
-				build[v] = append(build[v], int32(i))
-			}
-		}
-		lrows, rrows = probeJoin(lsel, left, func(i int32) ([]int32, bool) {
-			if lc.Nulls.Get(int(i)) {
-				return nil, false
-			}
-			return build[lc.Ints[i]], true
-		})
+		lrows, rrows = chainJoin(lv, lsel, n, rc, rsel, left,
+			func(c *engine.ColVec, i int32) int64 { return c.Ints[i] })
 	case isNumericKind(lc.Kind) && isNumericKind(rc.Kind):
 		// Mixed int/float keys: promote to float64, matching the row
 		// path's numeric valueKey equivalence (1 joins 1.0).
-		build := make(map[float64][]int32, rb.NumRows)
-		for i := 0; i < rb.NumRows; i++ {
-			if rc.Nulls.Get(i) {
-				continue
-			}
-			k := colFloat(rc, i)
-			build[k] = append(build[k], int32(i))
-		}
-		lrows, rrows = probeJoin(lsel, left, func(i int32) ([]int32, bool) {
-			if lc.Nulls.Get(int(i)) {
-				return nil, false
-			}
-			return build[colFloat(lc, int(i))], true
-		})
+		lrows, rrows = chainJoin(lv, lsel, n, rc, rsel, left,
+			func(c *engine.ColVec, i int32) float64 { return colFloat(c, int(i)) })
 	case lc.Kind == engine.TypeString && rc.Kind == engine.TypeString:
-		build := make(map[string][]int32, rb.NumRows)
-		for i, v := range rc.Strs {
-			if !rc.Nulls.Get(i) {
-				build[v] = append(build[v], int32(i))
-			}
-		}
-		lrows, rrows = probeJoin(lsel, left, func(i int32) ([]int32, bool) {
-			if lc.Nulls.Get(int(i)) {
-				return nil, false
-			}
-			return build[lc.Strs[i]], true
-		})
+		lrows, rrows = chainJoin(lv, lsel, n, rc, rsel, left,
+			func(c *engine.ColVec, i int32) string { return c.Strs[i] })
 	default:
-		return nil, false
+		return nil, nil, false
 	}
-
-	out := &engine.ColumnBatch{Schema: combined, Cols: make([]engine.ColVec, len(lb.Cols)+len(rb.Cols)), NumRows: len(lrows)}
-	for j := range lb.Cols {
-		out.Cols[j] = gatherVec(&lb.Cols[j], lrows)
-	}
-	for j := range rb.Cols {
-		out.Cols[len(lb.Cols)+j] = gatherVec(&rb.Cols[j], rrows)
-	}
-	return out, true
+	return lrows, rrows, true
 }
 
 func colFloat(c *engine.ColVec, i int) float64 {
@@ -941,100 +1248,468 @@ func colFloat(c *engine.ColVec, i int) float64 {
 	return c.Floats[i]
 }
 
-// probeJoin walks the probe side emitting (leftRow, rightRow) index
-// pairs; a -1 right row marks LEFT JOIN null padding.
-func probeJoin(lsel []int32, left bool, lookup func(i int32) ([]int32, bool)) (lrows, rrows []int32) {
-	lrows = make([]int32, 0, len(lsel))
-	rrows = make([]int32, 0, len(lsel))
-	for _, i := range lsel {
-		matches, _ := lookup(i)
-		if len(matches) == 0 {
+// chainJoin is vecHashJoin for one key type. NULL keys never match.
+func chainJoin[K comparable](lv *colView, lsel []int32, n int, rc *engine.ColVec, rsel []int32, left bool,
+	key func(c *engine.ColVec, i int32) K) (lrows, rrows []int32) {
+	nb := rc.Len()
+	if rsel != nil {
+		nb = len(rsel)
+	}
+	head := make(map[K]int32, nb)
+	next := make([]int32, rc.Len())
+	// Insert build rows in descending order so each chain runs
+	// ascending from its head.
+	insert := func(i int32) {
+		if rc.Nulls.Get(int(i)) {
+			return
+		}
+		k := key(rc, i)
+		if h, hit := head[k]; hit {
+			next[i] = h
+		} else {
+			next[i] = -1
+		}
+		head[k] = i
+	}
+	if rsel == nil {
+		for i := rc.Len() - 1; i >= 0; i-- {
+			insert(int32(i))
+		}
+	} else {
+		for k := len(rsel) - 1; k >= 0; k-- {
+			insert(rsel[k])
+		}
+	}
+	probeN := n
+	if lsel != nil {
+		probeN = len(lsel)
+	}
+	lrows = make([]int32, 0, probeN)
+	rrows = make([]int32, 0, probeN)
+	probe := func(i int32) {
+		m := int32(-1)
+		if r := lv.at(i); r >= 0 && !lv.src.Nulls.Get(int(r)) {
+			if h, hit := head[key(lv.src, r)]; hit {
+				m = h
+			}
+		}
+		if m < 0 {
 			if left {
 				lrows = append(lrows, i)
 				rrows = append(rrows, -1)
 			}
-			continue
+			return
 		}
-		for _, r := range matches {
+		for ; m >= 0; m = next[m] {
 			lrows = append(lrows, i)
-			rrows = append(rrows, r)
+			rrows = append(rrows, m)
+		}
+	}
+	if lsel == nil {
+		for i := 0; i < n; i++ {
+			probe(int32(i))
+		}
+	} else {
+		for _, i := range lsel {
+			probe(i)
 		}
 	}
 	return lrows, rrows
 }
 
-// gatherVec materialises src at the given row indices; -1 gathers NULL.
-func gatherVec(src *engine.ColVec, rows []int32) engine.ColVec {
-	out := engine.ColVec{Kind: src.Kind}
-	if src.Kind == engine.TypeNull {
-		out.Any = make([]engine.Value, len(rows))
-		for k, r := range rows {
-			if r < 0 {
-				out.Any[k] = engine.Null
-			} else {
-				out.Any[k] = src.Any[r]
+// joinViews is the working set after a join: the left columns read
+// through lrows (composed with their own row vectors, once per distinct
+// vector), the build table's columns through rrows.
+func joinViews(left []colView, lrows []int32, snap *colSnapshot, rrows []int32) []colView {
+	rb := snap.batch
+	views := make([]colView, len(left), len(left)+len(rb.Cols))
+	type composed struct{ from, to []int32 }
+	var done []composed
+	for j, v := range left {
+		switch {
+		case v.rows == nil:
+			v.rows = lrows
+		case len(v.rows) == 0:
+			// Empty working set: lrows is empty too.
+			v.rows = lrows
+		default:
+			var to []int32
+			for _, c := range done {
+				if &c.from[0] == &v.rows[0] {
+					to = c.to
+					break
+				}
+			}
+			if to == nil {
+				to = make([]int32, len(lrows))
+				for k, i := range lrows {
+					to[k] = v.rows[i]
+				}
+				done = append(done, composed{v.rows, to})
+			}
+			v.rows = to
+		}
+		views[j] = v
+	}
+	for j := range rb.Cols {
+		views = append(views, colView{src: &rb.Cols[j], rows: rrows, snap: snap, col: j})
+	}
+	return views
+}
+
+// ---------- grouped aggregation ----------
+
+// groupAccumVec is the vectorized GROUP BY accumulation. It walks the
+// selection in chunks: each chunk first maps its rows to dense group
+// ids (first-appearance order), then every aggregate folds its argument
+// vector into flat typed per-group accumulators — no per-row boxing, no
+// per-row closure calls. ok is false when a key or argument does not
+// compile.
+func groupAccumVec(ws *rowset, groupBy []Expr, aggCalls []FuncCall) ([]*aggGroup, bool, error) {
+	vc := &vecCompiler{views: ws.views, rs: ws.rs}
+	accs := make([]aggAccum, len(aggCalls))
+	for i, fc := range aggCalls {
+		accs[i].fc = fc
+		if fc.Star {
+			continue // COUNT(*): no argument
+		}
+		ev, ok := vc.compile(fc.Args[0])
+		if !ok {
+			return nil, false, nil
+		}
+		accs[i].arg = &ev
+	}
+	var glist []*aggGroup
+	newGroup := func(i int32) int32 {
+		glist = append(glist, newAggGroup(ws.row(i), aggCalls))
+		return int32(len(glist) - 1)
+	}
+	keyer, ok := groupKeyer(vc, groupBy, newGroup)
+	if !ok {
+		return nil, false, nil
+	}
+	sc := &scratch{}
+	gids := make([]int32, vecChunk)
+	err := ws.forChunks(func(chunk []int32) error {
+		g := gids[:len(chunk)]
+		if err := keyer(chunk, g, sc); err != nil {
+			return err
+		}
+		for i := range accs {
+			if err := accs[i].add(chunk, g, glist, i, sc); err != nil {
+				return err
 			}
 		}
-		return out
+		return nil
+	})
+	if err != nil {
+		return nil, false, err
 	}
-	setNull := func(k int, r int32) bool {
-		if r < 0 || src.Nulls.Get(int(r)) {
-			out.Nulls.Set(k)
-			return true
+	for i := range accs {
+		accs[i].finish(glist, i)
+	}
+	return glist, true, nil
+}
+
+// groupKeyer compiles the GROUP BY keys into a function that writes a
+// chunk's group ids, calling newGroup for each first appearance.
+func groupKeyer(vc *vecCompiler, groupBy []Expr, newGroup func(i int32) int32) (func(chunk, gids []int32, sc *scratch) error, bool) {
+	if len(groupBy) == 1 {
+		if cr, isCol := groupBy[0].(ColumnRef); isCol {
+			if idx, ok := vc.resolve(cr); ok {
+				if keyer := dictKeyer(&vc.views[idx], newGroup); keyer != nil {
+					return keyer, true
+				}
+			}
 		}
-		return false
 	}
-	switch src.Kind {
+	gevs := make([]vecExpr, len(groupBy))
+	for i, g := range groupBy {
+		ev, ok := vc.compile(g)
+		if !ok {
+			return nil, false
+		}
+		gevs[i] = ev
+	}
+	// Key vectors for the chunk, taken from the scratch per chunk (the
+	// keyer runs sequentially, so one slot slice serves every chunk).
+	gv := make([]*vec, len(gevs))
+	eval := func(chunk []int32, sc *scratch) ([]*vec, error) {
+		for i := range gevs {
+			gv[i] = sc.getVec()
+			if err := gevs[i].eval(chunk, gv[i], sc); err != nil {
+				return gv, err
+			}
+		}
+		return gv, nil
+	}
+	release := func(gv []*vec, sc *scratch) {
+		for i, v := range gv {
+			if v != nil {
+				sc.putVec(v)
+				gv[i] = nil
+			}
+		}
+	}
+	nullGid := int32(-1)
+	switch {
+	case len(gevs) == 1 && gevs[0].kind == engine.TypeInt:
+		m := make(map[int64]int32, 64)
+		return func(chunk, gids []int32, sc *scratch) error {
+			gv, err := eval(chunk, sc)
+			defer release(gv, sc)
+			if err != nil {
+				return err
+			}
+			v := gv[0]
+			for k, i := range chunk {
+				if v.null[k] {
+					if nullGid < 0 {
+						nullGid = newGroup(i)
+					}
+					gids[k] = nullGid
+					continue
+				}
+				gid, ok := m[v.ints[k]]
+				if !ok {
+					gid = newGroup(i)
+					m[v.ints[k]] = gid
+				}
+				gids[k] = gid
+			}
+			return nil
+		}, true
+	case len(gevs) == 1 && gevs[0].kind == engine.TypeString:
+		m := make(map[string]int32, 64)
+		return func(chunk, gids []int32, sc *scratch) error {
+			gv, err := eval(chunk, sc)
+			defer release(gv, sc)
+			if err != nil {
+				return err
+			}
+			v := gv[0]
+			for k, i := range chunk {
+				if v.null[k] {
+					if nullGid < 0 {
+						nullGid = newGroup(i)
+					}
+					gids[k] = nullGid
+					continue
+				}
+				gid, ok := m[v.strs[k]]
+				if !ok {
+					gid = newGroup(i)
+					m[v.strs[k]] = gid
+				}
+				gids[k] = gid
+			}
+			return nil
+		}, true
+	default:
+		m := make(map[string]int32, 64)
+		var buf []byte
+		return func(chunk, gids []int32, sc *scratch) error {
+			gv, err := eval(chunk, sc)
+			defer release(gv, sc)
+			if err != nil {
+				return err
+			}
+			for k, i := range chunk {
+				buf = buf[:0]
+				for _, v := range gv {
+					buf = v.appendGroupKey(buf, k)
+				}
+				gid, ok := m[string(buf)]
+				if !ok {
+					gid = newGroup(i)
+					m[string(buf)] = gid
+				}
+				gids[k] = gid
+			}
+			return nil
+		}, true
+	}
+}
+
+// dictKeyer groups by a string column through its snapshot dictionary:
+// the code of each selected row, read straight from the base column
+// through the view, indexes a code → group id table. nil when the
+// column has no dictionary (not a table's string column, or too many
+// distinct values).
+func dictKeyer(v *colView, newGroup func(i int32) int32) func(chunk, gids []int32, sc *scratch) error {
+	if v.snap == nil || v.src.Kind != engine.TypeString {
+		return nil
+	}
+	d := v.snap.dict(v.col)
+	if d == nil {
+		return nil
+	}
+	gidOf := make([]int32, d.n+1) // code 0 is NULL
+	for c := range gidOf {
+		gidOf[c] = -1
+	}
+	codes := d.codes
+	return func(chunk, gids []int32, _ *scratch) error {
+		for k, i := range chunk {
+			var code uint16
+			if r := v.at(i); r >= 0 {
+				code = codes[r]
+			}
+			g := gidOf[code]
+			if g < 0 {
+				g = newGroup(i)
+				gidOf[code] = g
+			}
+			gids[k] = g
+		}
+		return nil
+	}
+}
+
+// aggAccum folds one aggregate's argument, chunk by chunk, into flat
+// typed per-group accumulators, boxing at most once per group (for
+// MIN/MAX results) when it finishes.
+type aggAccum struct {
+	fc  FuncCall
+	arg *vecExpr // nil for COUNT(*)
+
+	counts       []int64
+	sums, sumSqs []float64
+	has          []bool
+	minI, maxI   []int64
+	minF, maxF   []float64
+	minS, maxS   []string
+}
+
+// generic reports whether the aggregate folds through aggState.add:
+// DISTINCT needs its per-value de-dup map, and exotic kinds keep the
+// reference semantics.
+func (a *aggAccum) generic() bool {
+	k := a.arg.kind
+	return a.fc.Distinct || (k != engine.TypeInt && k != engine.TypeFloat && k != engine.TypeString)
+}
+
+func extend[T any](s []T, n int) []T {
+	var zero T
+	for len(s) < n {
+		s = append(s, zero)
+	}
+	return s
+}
+
+// add folds the chunk's rows (group ids gids) into aggregate agg.
+func (a *aggAccum) add(chunk, gids []int32, glist []*aggGroup, agg int, sc *scratch) error {
+	ng := len(glist)
+	a.counts = extend(a.counts, ng)
+	if a.arg == nil { // COUNT(*)
+		for _, g := range gids {
+			a.counts[g]++
+		}
+		return nil
+	}
+	av := sc.getVec()
+	defer sc.putVec(av)
+	if err := a.arg.eval(chunk, av, sc); err != nil {
+		return err
+	}
+	if a.generic() {
+		for k, g := range gids {
+			glist[g].aggs[agg].add(av.valueAt(k))
+		}
+		return nil
+	}
+	a.sums, a.sumSqs, a.has = extend(a.sums, ng), extend(a.sumSqs, ng), extend(a.has, ng)
+	switch av.kind {
 	case engine.TypeInt:
-		out.Ints = make([]int64, len(rows))
-		for k, r := range rows {
-			if !setNull(k, r) {
-				out.Ints[k] = src.Ints[r]
+		a.minI, a.maxI = extend(a.minI, ng), extend(a.maxI, ng)
+		for k, g := range gids {
+			if av.null[k] {
+				continue
+			}
+			v := av.ints[k]
+			f := float64(v)
+			a.counts[g]++
+			a.sums[g] += f
+			a.sumSqs[g] += f * f
+			if !a.has[g] {
+				a.minI[g], a.maxI[g], a.has[g] = v, v, true
+			} else {
+				a.minI[g] = min(a.minI[g], v)
+				a.maxI[g] = max(a.maxI[g], v)
 			}
 		}
 	case engine.TypeFloat:
-		out.Floats = make([]float64, len(rows))
-		for k, r := range rows {
-			if !setNull(k, r) {
-				out.Floats[k] = src.Floats[r]
+		a.minF, a.maxF = extend(a.minF, ng), extend(a.maxF, ng)
+		for k, g := range gids {
+			if av.null[k] {
+				continue
+			}
+			v := av.floats[k]
+			a.counts[g]++
+			a.sums[g] += v
+			a.sumSqs[g] += v * v
+			if !a.has[g] {
+				a.minF[g], a.maxF[g], a.has[g] = v, v, true
+			} else {
+				if v < a.minF[g] {
+					a.minF[g] = v
+				}
+				if v > a.maxF[g] {
+					a.maxF[g] = v
+				}
 			}
 		}
 	case engine.TypeString:
-		out.Strs = make([]string, len(rows))
-		for k, r := range rows {
-			if !setNull(k, r) {
-				out.Strs[k] = src.Strs[r]
+		a.minS, a.maxS = extend(a.minS, ng), extend(a.maxS, ng)
+		// aggState sums strings through AsFloat (NaN when unparsable);
+		// only SUM, AVG and STDDEV read the sums.
+		needSum := a.fc.Name == "SUM" || a.fc.Name == "AVG" || a.fc.Name == "STDDEV"
+		for k, g := range gids {
+			if av.null[k] {
+				continue
 			}
-		}
-	case engine.TypeBool:
-		out.Bools = make([]bool, len(rows))
-		for k, r := range rows {
-			if !setNull(k, r) {
-				out.Bools[k] = src.Bools[r]
+			v := av.strs[k]
+			a.counts[g]++
+			if needSum {
+				f := engine.NewString(v).AsFloat()
+				a.sums[g] += f
+				a.sumSqs[g] += f * f
+			}
+			if !a.has[g] {
+				a.minS[g], a.maxS[g], a.has[g] = v, v, true
+			} else {
+				a.minS[g] = min(a.minS[g], v)
+				a.maxS[g] = max(a.maxS[g], v)
 			}
 		}
 	}
-	return out
+	return nil
 }
 
-// materializeRows boxes the selected batch rows into tuples, carving
-// them from one arena (the bridge from the vectorized pipeline back to
-// the row-at-a-time fallback).
-func materializeRows(b *engine.ColumnBatch, sel []int32) []engine.Tuple {
-	if sel == nil {
-		return b.ToRelation().Tuples
+// finish moves the accumulators into the groups' aggregate states.
+func (a *aggAccum) finish(glist []*aggGroup, agg int) {
+	if a.arg == nil {
+		for g, c := range a.counts {
+			glist[g].aggs[agg].count += c
+		}
+		return
 	}
-	ncols := len(b.Cols)
-	rows := make([]engine.Tuple, len(sel))
-	arena := make([]engine.Value, len(sel)*ncols)
-	for k := range sel {
-		rows[k] = engine.Tuple(arena[k*ncols : (k+1)*ncols : (k+1)*ncols])
+	if a.generic() {
+		return
 	}
-	for j := range b.Cols {
-		c := &b.Cols[j]
-		for k, i := range sel {
-			arena[k*ncols+j] = c.Value(int(i))
+	for g, has := range a.has {
+		if !has {
+			continue
+		}
+		st := glist[g].aggs[agg]
+		st.count, st.sum, st.sumSq, st.hasVal = a.counts[g], a.sums[g], a.sumSqs[g], true
+		switch a.arg.kind {
+		case engine.TypeInt:
+			st.min, st.max = engine.NewInt(a.minI[g]), engine.NewInt(a.maxI[g])
+		case engine.TypeFloat:
+			st.min, st.max = engine.NewFloat(a.minF[g]), engine.NewFloat(a.maxF[g])
+		default:
+			st.min, st.max = engine.NewString(a.minS[g]), engine.NewString(a.maxS[g])
 		}
 	}
-	return rows
 }

@@ -433,3 +433,54 @@ func TestJoinEdgeCases(t *testing.T) {
 		}
 	}
 }
+
+// TestFilterKernelsAllocationFlat pins the filter kernels' allocation
+// profile: compares of a column against a literal or another column
+// narrow the selection in place and allocate nothing, and value kernels
+// (OR, IN, arithmetic, LIKE) allocate scratch only while it settles (a
+// pooled vector may serve another kind in the next chunk), so
+// filtering 100 chunks allocates no more than filtering 4.
+func TestFilterKernelsAllocationFlat(t *testing.T) {
+	db := parityDB(t, 100*vecChunk)
+	tbl, _ := db.table("p")
+	snap := tbl.snapshot()
+	vc := &vecCompiler{views: batchViews(snap.batch, snap), rs: baseRowSchema("p", tbl.Schema)}
+	for _, c := range []struct {
+		pred   string
+		narrow bool // compiles to narrowing compares only
+	}{
+		{"v > 60.0", true}, {"label = 'label_3'", true}, {"grp < id", true}, {"10 <= grp", true},
+		{"v > 60.0 AND grp < 4", true},
+		{"grp = 3 OR label = 'label_1'", false}, {"grp IN (1, 2) AND v * 2 > 10", false}, {"label LIKE '%_2'", false},
+	} {
+		pred := c.pred
+		e, err := ParseExpression(pred)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, ok := vc.compileFilter(e)
+		if !ok {
+			t.Fatalf("%s: does not compile", pred)
+		}
+		all := identitySel(snap.batch.NumRows)
+		buf := make([]int32, len(all))
+		allocs := func(chunks int) float64 {
+			return testing.AllocsPerRun(5, func() {
+				sel := buf[:chunks*vecChunk]
+				copy(sel, all)
+				if _, err := filterRange(f, sel, &scratch{}); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		few, many := allocs(4), allocs(100)
+		if many != few {
+			t.Errorf("%s: %v allocs over 100 chunks, %v over 4", pred, many, few)
+		}
+		// At most the scratch, its selection stack and an AND's
+		// intermediate selection.
+		if c.narrow && many > 3 {
+			t.Errorf("%s: narrowing compares made %v allocs, want at most 3", pred, many)
+		}
+	}
+}
