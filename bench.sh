@@ -28,7 +28,8 @@
 #                             # BENCH_shard.json (QPS/p99 vs shard count)
 #   ./bench.sh --relational   # only the ./internal/relational benchmarks,
 #                             # write BENCH_relational.json (CI gates its
-#                             # allocs_per_op against the committed copy)
+#                             # allocs_per_op against the committed copy,
+#                             # recorded at GOMAXPROCS=2)
 #
 # Every mode fails loudly: a benchmark that does not build, errors out,
 # or produces zero parseable entries exits non-zero — an empty or

@@ -241,23 +241,21 @@ func (db *DB) collectMatchingSlots(t *Table, rs rowSchema, whereExpr Expr, where
 	var slots []int
 	scanned := 0
 	defer func() { db.stats.rowsScanned.Add(int64(scanned)) }()
-	for slot, row := range t.rows {
-		if t.deleted[slot] {
-			continue
-		}
+	err := t.scan(func(slot int, row engine.Tuple) error {
 		scanned++
 		if where != nil {
 			v, err := where(row)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			if v.IsNull() || !v.AsBool() {
-				continue
+				return nil
 			}
 		}
 		slots = append(slots, slot)
-	}
-	return slots, nil
+		return nil
+	})
+	return slots, err
 }
 
 func (db *DB) executeDelete(s Delete) (int, error) {

@@ -265,20 +265,6 @@ func compileBinary(ex BinaryExpr, rs rowSchema, aggLookup func(string, engine.Tu
 		}, nil
 	case "=", "<>", "<", "<=", ">", ">=":
 		cop := cmpOps[op]
-		// `column op literal`, the common DML predicate shape, reads the
-		// column in place instead of through two closures.
-		if cr, isCol := ex.Left.(ColumnRef); isCol {
-			if lit, isLit := ex.Right.(Literal); isLit && !lit.Val.IsNull() {
-				idx, _ := rs.resolve(cr.Table, cr.Name) // resolved above
-				c := lit.Val
-				return func(row engine.Tuple) (engine.Value, error) {
-					if row[idx].IsNull() {
-						return engine.Null, nil
-					}
-					return engine.NewBool(cop.holds(engine.Compare(row[idx], c))), nil
-				}, nil
-			}
-		}
 		return func(row engine.Tuple) (engine.Value, error) {
 			l, err := left(row)
 			if err != nil {

@@ -41,15 +41,14 @@ type Table struct {
 // touching it, so readers keep what they hold, and the dictionaries go
 // with the snapshot they describe.
 type colSnapshot struct {
-	batch     *engine.ColumnBatch
-	dictAsked []atomic.Bool
-	dictOnce  []sync.Once
-	dicts     []*strDict
+	batch    *engine.ColumnBatch
+	dictOnce []sync.Once
+	dicts    []*strDict
 }
 
 func newSnapshot(b *engine.ColumnBatch) *colSnapshot {
 	n := len(b.Cols)
-	return &colSnapshot{batch: b, dictAsked: make([]atomic.Bool, n), dictOnce: make([]sync.Once, n), dicts: make([]*strDict, n)}
+	return &colSnapshot{batch: b, dictOnce: make([]sync.Once, n), dicts: make([]*strDict, n)}
 }
 
 // maxDictValues bounds the distinct values of a dictionary-encoded
@@ -65,14 +64,8 @@ type strDict struct {
 
 // dict returns the dictionary of string column col, or nil when col is
 // not a string column or has more than maxDictValues distinct values.
-// The first request also gets nil: a dictionary pass reads every row,
-// which pays off only when the snapshot serves more than one grouping
-// (a table under writes gets a new snapshot for nearly every read).
-// Later requests build it once, safely under concurrent readers.
+// The first request builds it, once, safely under concurrent readers.
 func (s *colSnapshot) dict(col int) *strDict {
-	if !s.dictAsked[col].Swap(true) {
-		return nil
-	}
 	s.dictOnce[col].Do(func() {
 		c := &s.batch.Cols[col]
 		if c.Kind != engine.TypeString {

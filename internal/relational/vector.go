@@ -59,8 +59,8 @@ import (
 //
 // Group. groupAccumVec assigns dense group ids in first-appearance
 // order, chunk by chunk. A single string key column with a snapshot
-// dictionary (low-cardinality columns, from a snapshot's second
-// grouping on: colSnapshot.dict) maps rows to groups through the
+// dictionary (low-cardinality columns, built on the snapshot's first
+// grouping: colSnapshot.dict) maps rows to groups through the
 // dictionary codes, read straight from the base column through the
 // selection; other keys are evaluated into chunk vectors and hashed.
 // Aggregates fold each chunk into flat typed per-group accumulators and
@@ -537,23 +537,7 @@ func (vc *vecCompiler) compileBinary(ex BinaryExpr) (vecExpr, bool) {
 		if !ok || !comparableKinds(l.kind, r.kind) {
 			return vecExpr{}, false
 		}
-		// Decode the operator into branch flags once, so the per-row
-		// loop never dispatches on the operator string.
-		var wantLt, wantEq, wantGt bool
-		switch op {
-		case "=":
-			wantEq = true
-		case "<>":
-			wantLt, wantGt = true, true
-		case "<":
-			wantLt = true
-		case "<=":
-			wantLt, wantEq = true, true
-		case ">":
-			wantGt = true
-		case ">=":
-			wantGt, wantEq = true, true
-		}
+		cop := cmpOps[op]
 		return vecExpr{kind: engine.TypeBool, eval: func(sel []int32, out *vec, sc *scratch) error {
 			lv, rv := sc.getVec(), sc.getVec()
 			defer func() { sc.putVec(lv); sc.putVec(rv) }()
@@ -571,8 +555,7 @@ func (vc *vecCompiler) compileBinary(ex BinaryExpr) (vecExpr, bool) {
 						out.null[k] = true
 						continue
 					}
-					a, b := lv.ints[k], rv.ints[k]
-					out.bools[k] = (a < b && wantLt) || (a == b && wantEq) || (a > b && wantGt)
+					out.bools[k] = cop.holds(cmp.Compare(lv.ints[k], rv.ints[k]))
 				}
 			case lv.kind == engine.TypeString:
 				for k := range out.bools {
@@ -580,8 +563,7 @@ func (vc *vecCompiler) compileBinary(ex BinaryExpr) (vecExpr, bool) {
 						out.null[k] = true
 						continue
 					}
-					cmp := strings.Compare(lv.strs[k], rv.strs[k])
-					out.bools[k] = (cmp < 0 && wantLt) || (cmp == 0 && wantEq) || (cmp > 0 && wantGt)
+					out.bools[k] = cop.holds(strings.Compare(lv.strs[k], rv.strs[k]))
 				}
 			default:
 				for k := range out.bools {
@@ -589,8 +571,7 @@ func (vc *vecCompiler) compileBinary(ex BinaryExpr) (vecExpr, bool) {
 						out.null[k] = true
 						continue
 					}
-					a, b := lv.floatAt(k), rv.floatAt(k)
-					out.bools[k] = (a < b && wantLt) || (a == b && wantEq) || (a > b && wantGt)
+					out.bools[k] = cop.holds(cmp.Compare(lv.floatAt(k), rv.floatAt(k)))
 				}
 			}
 			return nil
